@@ -92,88 +92,20 @@ pub struct SapReport {
 }
 
 /// Solve `min ‖Ax − b‖₂` by sketch-and-precondition.
+///
+/// One unchecked pass of the pipeline: no input validation, no retries, no
+/// rank check on the factor, and a run that hits LSQR's iteration cap still
+/// returns its report. See [`try_solve_sap`] for the checked, self-healing
+/// variant.
 pub fn solve_sap(a: &CscMatrix<f64>, b: &[f64], opts: &SapOptions) -> SapReport {
     let _sp = obskit::span("lstsq/sap");
     let t_start = Instant::now();
-    let n = a.ncols();
-    assert!(n > 0, "empty matrix");
+    assert!(a.ncols() > 0, "empty matrix");
     assert!(opts.gamma >= 1, "gamma must be at least 1");
-    let d = (opts.gamma * n).max(n);
-
-    // Phase 1: sketch.
-    let t0 = Instant::now();
-    let cfg = SketchConfig::new(d, opts.b_d, opts.b_n, opts.seed);
-    let sampler = UnitUniform::<f64>::sampler(FastRng::new(opts.seed));
-    let ahat = {
-        let _sp = obskit::span("lstsq/sap/sketch");
-        sketch_alg3_par_cols(a, &cfg, &sampler)
-    };
-    // Normalize variance so σ(SQ) ≈ 1·‖Q‖: entries are uniform(-1,1) with
-    // variance 1/3; divide by √(d/3) to make E‖S q‖² = ‖q‖².
-    let mut ahat = ahat;
-    ahat.scale(1.0 / ((d as f64) / 3.0).sqrt());
-    let sketch_s = t0.elapsed().as_secs_f64();
-    let sketch_bytes = ahat.memory_bytes();
-
-    // Phase 2: factor.
-    let _sp_factor = obskit::span("lstsq/sap/factor");
-    let t1 = Instant::now();
-    let (precond, factor_bytes, rank): (Box<dyn Preconditioner>, usize, usize) = match opts.flavor {
-        SapFlavor::Qr => {
-            let r = householder_qr_r(&ahat);
-            let p = UpperTriPrecond::new(r);
-            let bytes = p.memory_bytes();
-            (Box::new(p), bytes, n)
-        }
-        SapFlavor::Svd => {
-            let svd = ThinSvd::factor(&ahat);
-            let p = SvdPrecond::from_svd(&svd, 1e-12);
-            let bytes = p.memory_bytes();
-            let rank = p.rank();
-            (Box::new(p), bytes, rank)
-        }
-    };
-    let factor_s = t1.elapsed().as_secs_f64();
-    drop(_sp_factor);
-    drop(ahat); // the sketch is no longer needed once factored
-
-    // Phase 3: preconditioned LSQR on the original A.
-    let t2 = Instant::now();
-    let mut aop = CscOp::new(a);
-    let mut pop = BoxedPrecondOp::new(&mut aop, precond.as_ref());
-    let result = {
-        let _sp = obskit::span("lstsq/sap/solve");
-        lsqr(&mut pop, b, &opts.lsqr)
-    };
-    let mut x = vec![0.0; n];
-    precond.apply(&result.x, &mut x);
-    let solve_s = t2.elapsed().as_secs_f64();
-
-    obskit::event(
-        "sap",
-        vec![
-            ("flavor", obskit::Value::S(format!("{:?}", opts.flavor))),
-            ("n", obskit::Value::U(n as u64)),
-            ("d", obskit::Value::U(d as u64)),
-            ("iters", obskit::Value::U(result.iters as u64)),
-            ("sketch_s", obskit::Value::F(sketch_s)),
-            ("factor_s", obskit::Value::F(factor_s)),
-            ("solve_s", obskit::Value::F(solve_s)),
-        ],
-    );
-
-    SapReport {
-        x,
-        iters: result.iters,
-        sketch_s,
-        factor_s,
-        solve_s,
-        total_s: t_start.elapsed().as_secs_f64(),
-        memory_bytes: sketch_bytes + factor_bytes,
-        rank,
-        lsqr_result: result,
-        retries: 0,
-        fallback_svd: false,
+    match sap_pass(a, b, opts, opts.gamma, opts.seed, Checks::Off, t_start) {
+        Ok(rep) => rep,
+        // Unchecked, a pass fails only when a factorization panics.
+        Err(e) => panic!("{e}"),
     }
 }
 
@@ -211,14 +143,34 @@ fn retryable(e: &SolveError) -> bool {
     )
 }
 
-/// Factor the sketch into a preconditioner, with typed failure and the
-/// QR→SVD rank-deficiency fallback.
+/// Rank check on `diag(R)`: `|R_jj|` spans the column scales QR saw, and a
+/// (near-)zero diagonal makes `R⁻¹` useless as a preconditioner.
+fn qr_rank_deficient(r: &Matrix<f64>) -> Result<bool, SolveError> {
+    let mut dmin = f64::INFINITY;
+    let mut dmax = 0.0f64;
+    for j in 0..r.ncols() {
+        let d = r.col(j)[j].abs();
+        if !d.is_finite() {
+            return Err(SolveError::FactorizationFailed {
+                detail: format!("non-finite R diagonal at column {j}"),
+            });
+        }
+        dmin = dmin.min(d);
+        dmax = dmax.max(d);
+    }
+    Ok(dmin <= dmax * 1e-12 || dmax == 0.0)
+}
+
+/// Factor the sketch into a preconditioner, with typed failure. When
+/// `checked`, a rank-deficient QR (from `diag(R)`) falls back to SVD and an
+/// SVD of rank zero is an error.
 ///
 /// Returns `(preconditioner, factor_bytes, rank, fell_back_to_svd)`.
 #[allow(clippy::type_complexity)]
 fn try_factor(
     ahat: &Matrix<f64>,
     flavor: SapFlavor,
+    checked: bool,
 ) -> Result<(Box<dyn Preconditioner>, usize, usize, bool), SolveError> {
     let n = ahat.ncols();
     match flavor {
@@ -228,25 +180,11 @@ fn try_factor(
                     detail: panic_payload_to_string(p.as_ref()),
                 }
             })?;
-            // Rank check on diag(R): |R_jj| spans the column scales QR saw;
-            // a (near-)zero diagonal makes R⁻¹ useless as a preconditioner.
-            let mut dmin = f64::INFINITY;
-            let mut dmax = 0.0f64;
-            for j in 0..n {
-                let d = r.col(j)[j].abs();
-                if !d.is_finite() {
-                    return Err(SolveError::FactorizationFailed {
-                        detail: format!("non-finite R diagonal at column {j}"),
-                    });
-                }
-                dmin = dmin.min(d);
-                dmax = dmax.max(d);
-            }
-            if dmin <= dmax * 1e-12 || dmax == 0.0 {
+            if checked && qr_rank_deficient(&r)? {
                 // Rank-deficient sketch: fall back to the SVD flavour, which
                 // drops the null directions instead of dividing by them.
                 obskit::add(obskit::Ctr::SapFallbackSvd, 1);
-                let (p, bytes, rank, _) = try_factor(ahat, SapFlavor::Svd)?;
+                let (p, bytes, rank, _) = try_factor(ahat, SapFlavor::Svd, true)?;
                 return Ok((p, bytes, rank, true));
             }
             let p = UpperTriPrecond::new(r);
@@ -261,7 +199,7 @@ fn try_factor(
             })?;
             let p = SvdPrecond::from_svd(&svd, 1e-12);
             let rank = p.rank();
-            if rank == 0 {
+            if checked && rank == 0 {
                 return Err(SolveError::RankDeficient { rank: 0, n });
             }
             let bytes = p.memory_bytes();
@@ -270,45 +208,66 @@ fn try_factor(
     }
 }
 
-/// One hardened SAP attempt at a given oversampling and seed.
-fn sap_attempt(
+/// How strictly one [`sap_pass`] checks its stages.
+#[derive(Clone, Copy, Debug)]
+enum Checks {
+    /// [`solve_sap`]: plain sketch, factor without rank check, LSQR run
+    /// with `opts.lsqr` as given and its stop reason reported, not judged.
+    Off,
+    /// [`try_solve_sap`]: hardened sketch (validated input, budget-fitted
+    /// blocks, output scan), rank check with QR→SVD fallback, LSQR with this
+    /// stall window, and every non-converged stop an error.
+    On { stall_window: usize },
+}
+
+/// One pass of the SAP pipeline — sketch, scale, factor, preconditioned
+/// LSQR, report — at a given oversampling and seed.
+fn sap_pass(
     a: &CscMatrix<f64>,
     b: &[f64],
     opts: &SapOptions,
     gamma: usize,
     seed: u64,
-    stall_window: usize,
+    checks: Checks,
     t_start: Instant,
 ) -> Result<SapReport, SolveError> {
     let n = a.ncols();
     let d = (gamma * n).max(n);
 
-    // Phase 1: sketch (validated input, budget-fitted blocks, output scan).
+    // Phase 1: sketch.
     let t0 = Instant::now();
     let cfg = SketchConfig::new(d, opts.b_d, opts.b_n, seed);
     let sampler = UnitUniform::<f64>::sampler(FastRng::new(seed));
     let mut ahat = {
         let _sp = obskit::span("lstsq/sap/sketch");
-        try_sketch_alg3_par_cols(a, &cfg, &sampler)?
+        match checks {
+            Checks::Off => sketch_alg3_par_cols(a, &cfg, &sampler),
+            Checks::On { .. } => try_sketch_alg3_par_cols(a, &cfg, &sampler)?,
+        }
     };
+    // Normalize variance so σ(SQ) ≈ 1·‖Q‖: entries are uniform(-1,1) with
+    // variance 1/3; divide by √(d/3) to make E‖S q‖² = ‖q‖².
     ahat.scale(1.0 / ((d as f64) / 3.0).sqrt());
     let sketch_s = t0.elapsed().as_secs_f64();
     let sketch_bytes = ahat.memory_bytes();
 
-    // Phase 2: factor, with rank-deficiency fallback.
+    // Phase 2: factor.
     let t1 = Instant::now();
     let (precond, factor_bytes, rank, fallback_svd) = {
         let _sp = obskit::span("lstsq/sap/factor");
-        try_factor(&ahat, opts.flavor)?
+        try_factor(&ahat, opts.flavor, matches!(checks, Checks::On { .. }))?
     };
     let factor_s = t1.elapsed().as_secs_f64();
-    drop(ahat);
+    drop(ahat); // the sketch is no longer needed once factored
 
-    // Phase 3: preconditioned LSQR with stagnation/divergence detection.
+    // Phase 3: preconditioned LSQR on the original A.
     let t2 = Instant::now();
-    let lsqr_opts = LsqrOptions {
-        stall_window,
-        ..opts.lsqr
+    let lsqr_opts = match checks {
+        Checks::Off => opts.lsqr,
+        Checks::On { stall_window } => LsqrOptions {
+            stall_window,
+            ..opts.lsqr
+        },
     };
     let mut aop = CscOp::new(a);
     let mut pop = BoxedPrecondOp::new(&mut aop, precond.as_ref());
@@ -316,19 +275,21 @@ fn sap_attempt(
         let _sp = obskit::span("lstsq/sap/solve");
         lsqr(&mut pop, b, &lsqr_opts)
     };
-    match result.stop {
-        StopReason::Diverged => {
-            return Err(SolveError::Diverged {
-                iters: result.iters,
-            })
+    if let Checks::On { .. } = checks {
+        match result.stop {
+            StopReason::Diverged => {
+                return Err(SolveError::Diverged {
+                    iters: result.iters,
+                })
+            }
+            StopReason::Stagnated | StopReason::MaxIters => {
+                return Err(SolveError::Stagnated {
+                    iters: result.iters,
+                    best_rel_atr: result.rel_atr,
+                })
+            }
+            _ => {}
         }
-        StopReason::Stagnated | StopReason::MaxIters => {
-            return Err(SolveError::Stagnated {
-                iters: result.iters,
-                best_rel_atr: result.rel_atr,
-            })
-        }
-        _ => {}
     }
     let mut x = vec![0.0; n];
     precond.apply(&result.x, &mut x);
@@ -405,7 +366,10 @@ pub fn try_solve_sap_with(
     for attempt in 0..attempts {
         let gamma_eff = gamma << attempt;
         let seed = opts.seed.wrapping_add(attempt as u64);
-        match sap_attempt(a, b, opts, gamma_eff, seed, policy.stall_window, t_start) {
+        let checks = Checks::On {
+            stall_window: policy.stall_window,
+        };
+        match sap_pass(a, b, opts, gamma_eff, seed, checks, t_start) {
             Ok(mut rep) => {
                 rep.retries = retries;
                 return Ok(rep);

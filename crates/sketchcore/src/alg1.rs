@@ -21,25 +21,27 @@ pub struct OuterBlock {
     pub n1: usize,
 }
 
+/// Algorithm 1's row blocks `(i, d₁)` of `S`/`Â`, in loop order.
+pub(crate) fn row_blocks(cfg: &SketchConfig) -> impl Iterator<Item = (usize, usize)> {
+    let (d, b_d) = (cfg.d, cfg.b_d);
+    (0..d).step_by(b_d).map(move |i| (i, b_d.min(d - i)))
+}
+
+/// Column blocks `(j, n₁)` of width `b_n` over `n` columns, in loop order.
+pub(crate) fn col_blocks(b_n: usize, n: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..n).step_by(b_n).map(move |j| (j, b_n.min(n - j)))
+}
+
+/// The blocks of one column panel `j..j+n1`: every row block, in loop order.
+pub(crate) fn panel(cfg: &SketchConfig, j: usize, n1: usize) -> impl Iterator<Item = OuterBlock> {
+    row_blocks(cfg).map(move |(i, d1)| OuterBlock { i, d1, j, n1 })
+}
+
 /// Enumerate Algorithm 1's blocks in its loop order (columns outermost).
 pub fn blocks(cfg: &SketchConfig, n: usize) -> Vec<OuterBlock> {
-    let mut out = Vec::with_capacity(cfg.n_blocks(n) * cfg.d_blocks());
-    let mut j = 0;
-    while j < n {
-        let n1 = cfg.b_n.min(n - j);
-        let mut i = 0;
-        while i < cfg.d {
-            let d1 = cfg.b_d.min(cfg.d - i);
-            out.push(OuterBlock { i, d1, j, n1 });
-            i += cfg.b_d;
-        }
-        j += cfg.b_n;
-    }
-    if n == 0 {
-        // Degenerate input: no column blocks, Â is d×0.
-        out.clear();
-    }
-    out
+    col_blocks(cfg.b_n, n)
+        .flat_map(|(j, n1)| panel(cfg, j, n1))
+        .collect()
 }
 
 /// Drive a compute kernel over Algorithm 1's blocks.
@@ -50,6 +52,39 @@ pub fn blocks(cfg: &SketchConfig, n: usize) -> Vec<OuterBlock> {
 pub fn drive<F: FnMut(OuterBlock)>(cfg: &SketchConfig, n: usize, mut kernel: F) {
     for b in blocks(cfg, n) {
         kernel(b);
+    }
+}
+
+/// Write access to the column segments of `Â` a block kernel updates.
+///
+/// The kernels address the output only through this trait, so one kernel
+/// body serves every driver: the sequential and column-panel drivers write
+/// through a [`Panel`], the row-stripe drivers through a stripe window.
+pub(crate) trait ColumnSegments<T> {
+    /// Rows `i..i+d1` of column `col` of `Â`.
+    fn segment(&mut self, col: usize, i: usize, d1: usize) -> &mut [T];
+}
+
+/// A column-major panel of `Â` holding columns `j0..`: the whole matrix for
+/// the sequential drivers, one chunk of columns for the panel drivers.
+pub(crate) struct Panel<'a, T> {
+    data: &'a mut [T],
+    d: usize,
+    j0: usize,
+}
+
+impl<'a, T> Panel<'a, T> {
+    /// View `data` (column-major, `d` rows per column) as columns `j0..`.
+    pub(crate) fn new(data: &'a mut [T], d: usize, j0: usize) -> Self {
+        Self { data, d, j0 }
+    }
+}
+
+impl<T> ColumnSegments<T> for Panel<'_, T> {
+    #[inline(always)]
+    fn segment(&mut self, col: usize, i: usize, d1: usize) -> &mut [T] {
+        let at = (col - self.j0) * self.d + i;
+        &mut self.data[at..at + d1]
     }
 }
 

@@ -11,10 +11,11 @@
 //! Cost signature (paper §III-B): always draws `d·nnz(A)` samples — fast-RNG
 //! dependent, sparsity-pattern oblivious (Table VI).
 
-use crate::alg1;
+use crate::alg1::{self, ColumnSegments, OuterBlock, Panel};
 use crate::config::SketchConfig;
+use crate::obs;
 use densekit::Matrix;
-use rngkit::{BlockSampler, ScaledInt};
+use rngkit::{BlockSampler, SampleCost, ScaledInt};
 use sparsekit::{CscMatrix, Scalar};
 
 /// Compute `Â = S·A` with Algorithm 3 (sequential).
@@ -29,48 +30,77 @@ where
     S: BlockSampler<T> + Clone,
 {
     let _sp = obskit::span("sketch/alg3");
+    sequential(a, cfg, sampler.clone(), "sketch/alg3/block")
+}
+
+/// Algorithm 1 over [`block`] on the calling thread.
+fn sequential<T, S>(
+    a: &CscMatrix<T>,
+    cfg: &SketchConfig,
+    mut sampler: S,
+    path: &'static str,
+) -> Matrix<T>
+where
+    T: Scalar,
+    S: BlockSampler<T>,
+{
     let mut ahat = Matrix::zeros(cfg.d, a.ncols());
-    let mut sampler = sampler.clone();
+    let mut out = Panel::new(ahat.as_mut_slice(), cfg.d, 0);
     alg1::drive(cfg, a.ncols(), |b| {
-        let t0 = crate::obs::block_timer();
-        kernel(&mut ahat, a, b, &mut sampler);
-        if let Some(t0) = t0 {
-            let dur_ns = t0.elapsed().as_nanos() as u64;
-            let nnz_b: usize = (b.j..b.j + b.n1).map(|k| a.col(k).0.len()).sum();
-            crate::obs::block_done::<T>(
-                crate::obs::BlockObs {
-                    path: "sketch/alg3/block",
-                    i: b.i,
-                    j: b.j,
-                    d1: b.d1,
-                    n1: b.n1,
-                    nnz: nnz_b,
-                    rows_hit: None,
-                },
-                dur_ns,
-            );
-        }
+        block(&mut out, a, b, &mut sampler, path)
     });
     ahat
 }
 
-/// Algorithm 3's inner kernel on one outer block (exposed for the parallel
-/// drivers).
-pub(crate) fn kernel<T, S>(
-    ahat: &mut Matrix<T>,
+/// [`kernel`] on one block, recorded under `path` when telemetry is on —
+/// the one place Algorithm 3's unbatched drivers report a block.
+pub(crate) fn block<T, S, W>(
+    out: &mut W,
     a: &CscMatrix<T>,
-    b: alg1::OuterBlock,
+    b: OuterBlock,
     sampler: &mut S,
+    path: &'static str,
 ) where
     T: Scalar,
     S: BlockSampler<T>,
+    W: ColumnSegments<T>,
+{
+    let t0 = obs::block_timer();
+    kernel(out, a, b, sampler);
+    if let Some(t0) = t0 {
+        let dur_ns = t0.elapsed().as_nanos() as u64;
+        let nnz: usize = (b.j..b.j + b.n1).map(|k| a.col(k).0.len()).sum();
+        obs::block_done::<T>(
+            obs::BlockObs {
+                path,
+                i: b.i,
+                j: b.j,
+                d1: b.d1,
+                n1: b.n1,
+                nnz,
+                rows_hit: None,
+            },
+            dur_ns,
+        );
+    }
+}
+
+/// Algorithm 3's kernel on one outer block: every driver — sequential,
+/// column panel, row stripe, each request of a batch, instrumented — runs
+/// this body; sampler adapters ([`Signs`], the instrumented timer, the fault
+/// injector) change what a `fill_axpy` does, not the loop.
+pub(crate) fn kernel<T, S, W>(out: &mut W, a: &CscMatrix<T>, b: OuterBlock, sampler: &mut S)
+where
+    T: Scalar,
+    S: BlockSampler<T>,
+    W: ColumnSegments<T>,
 {
     // Algorithm 3 consumes each regenerated column of S exactly once, so
     // generation and the d₁-long axpy are fused: samples go straight from
     // the generator's registers into Â, never through a scratch vector.
     for k in b.j..b.j + b.n1 {
         let (rows, vals) = a.col(k);
-        let out = &mut ahat.col_mut(k)[b.i..b.i + b.d1];
+        let out = out.segment(k, b.i, b.d1);
         for (&j, &ajk) in rows.iter().zip(vals.iter()) {
             sampler.set_state(b.i, j);
             sampler.fill_axpy(ajk, out);
@@ -78,31 +108,58 @@ pub(crate) fn kernel<T, S>(
     }
 }
 
-/// Kernel body for one block in the ±1 sign representation (exposed for the
-/// parallel drivers).
-pub(crate) fn kernel_signs<T, S>(
-    ahat: &mut Matrix<T>,
-    a: &CscMatrix<T>,
-    b: alg1::OuterBlock,
-    sampler: &mut S,
-    v: &mut [i8],
-) where
-    T: Scalar,
-    S: BlockSampler<i8>,
-{
-    let v = &mut v[..b.d1];
-    for k in b.j..b.j + b.n1 {
-        let (rows, vals) = a.col(k);
-        let out = &mut ahat.col_mut(k)[b.i..b.i + b.d1];
-        for (&j, &ajk) in rows.iter().zip(vals.iter()) {
-            sampler.set_state(b.i, j);
-            sampler.fill(v);
-            // ±1 entries: the multiply becomes a sign-select add, and the
-            // regenerated data is 8× smaller than f64 (paper §III-C).
-            for (o, &s) in out.iter_mut().zip(v.iter()) {
-                *o += if s >= 0 { ajk } else { -ajk };
-            }
+/// Sampler adapter presenting iid ±1 `i8` signs as entries of `S` in `T`.
+///
+/// `fill_axpy` is a sign-select add — the multiply disappears and the
+/// regenerated data is 8× smaller than f64 (paper §III-C); `fill` writes the
+/// signs as `±1` for kernels that reuse a regenerated segment (Algorithm 4).
+#[derive(Clone, Debug)]
+pub(crate) struct Signs<S> {
+    inner: S,
+    signs: Vec<i8>,
+}
+
+impl<S: BlockSampler<i8>> Signs<S> {
+    pub(crate) fn new(inner: S) -> Self {
+        Self {
+            inner,
+            signs: Vec::new(),
         }
+    }
+
+    /// The next `len` signs of the current checkpoint stream.
+    #[inline]
+    fn next_signs(&mut self, len: usize) -> &[i8] {
+        if self.signs.len() < len {
+            self.signs.resize(len, 0);
+        }
+        self.inner.fill(&mut self.signs[..len]);
+        &self.signs[..len]
+    }
+}
+
+impl<T: Scalar, S: BlockSampler<i8>> BlockSampler<T> for Signs<S> {
+    #[inline]
+    fn set_state(&mut self, block_row: usize, col: usize) {
+        self.inner.set_state(block_row, col);
+    }
+
+    fn fill(&mut self, out: &mut [T]) {
+        let signs = self.next_signs(out.len());
+        for (o, &s) in out.iter_mut().zip(signs) {
+            *o = if s >= 0 { T::ONE } else { -T::ONE };
+        }
+    }
+
+    fn fill_axpy(&mut self, coeff: T, out: &mut [T]) {
+        let signs = self.next_signs(out.len());
+        for (o, &s) in out.iter_mut().zip(signs) {
+            *o += if s >= 0 { coeff } else { -coeff };
+        }
+    }
+
+    fn cost(&self) -> SampleCost {
+        self.inner.cost()
     }
 }
 
@@ -114,30 +171,12 @@ where
     S: BlockSampler<i8> + Clone,
 {
     let _sp = obskit::span("sketch/alg3_signs");
-    let mut ahat = Matrix::zeros(cfg.d, a.ncols());
-    let mut sampler = sampler.clone();
-    let mut v = vec![0i8; cfg.b_d.min(cfg.d)];
-    alg1::drive(cfg, a.ncols(), |b| {
-        let t0 = crate::obs::block_timer();
-        kernel_signs(&mut ahat, a, b, &mut sampler, &mut v);
-        if let Some(t0) = t0 {
-            let dur_ns = t0.elapsed().as_nanos() as u64;
-            let nnz_b: usize = (b.j..b.j + b.n1).map(|k| a.col(k).0.len()).sum();
-            crate::obs::block_done::<i8>(
-                crate::obs::BlockObs {
-                    path: "sketch/alg3_signs/block",
-                    i: b.i,
-                    j: b.j,
-                    d1: b.d1,
-                    n1: b.n1,
-                    nnz: nnz_b,
-                    rows_hit: None,
-                },
-                dur_ns,
-            );
-        }
-    });
-    ahat
+    sequential(
+        a,
+        cfg,
+        Signs::new(sampler.clone()),
+        "sketch/alg3_signs/block",
+    )
 }
 
 /// Compute `Â = S·A` with the "(-1,1) scaling trick" of paper §III-C: the

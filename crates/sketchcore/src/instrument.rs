@@ -1,22 +1,28 @@
 //! Timing instrumentation: the sample-time vs total-time split of paper
 //! Tables III and V.
 //!
-//! The instrumented drivers time every `fill` call with `Instant`, exactly
-//! as the paper's Julia implementation wrapped its RNG calls — and inherit
-//! the same caveat: "the total times are slightly higher than those reported
-//! [without instrumentation] since the timer creates additional overhead".
+//! The instrumented drivers run the same block kernels as every other driver
+//! ([`crate::alg3`], [`crate::alg4`]) through a timing sampler adapter,
+//! `Timed`, built like [`crate::FaultSampler`]: it times each `set_state` +
+//! `fill` pair with `Instant`, exactly as the paper's Julia implementation
+//! wrapped its RNG calls, and does Algorithm 3's axpy outside the timed
+//! region. It inherits the same caveat: "the total times are slightly higher
+//! than those reported [without instrumentation] since the timer creates
+//! additional overhead".
 //!
-//! Since the obskit refactor the drivers no longer keep their own tallies:
-//! they record into an [`obskit::LocalSpans`] accumulator (always on — the
-//! caller asked for a timing by calling the `_instrumented` entry point) and
-//! [`SketchTiming`] is a *view* over those spans. When the global telemetry
-//! gate is on, the same spans and counters are also published to the obskit
-//! registry, so instrumented runs show up in JSONL exports for free.
+//! The adapter records into an [`obskit::LocalSpans`] accumulator (always on
+//! — the caller asked for a timing by calling the `_instrumented` entry
+//! point) and [`SketchTiming`] is a *view* over those spans. When the global
+//! telemetry gate is on, the same spans and counters are also published to
+//! the obskit registry, so instrumented runs show up in JSONL exports for
+//! free.
 
+use crate::alg1::{self, Panel};
 use crate::config::SketchConfig;
+use crate::{alg3, alg4};
 use densekit::Matrix;
 use obskit::{Ctr, LocalSpans};
-use rngkit::BlockSampler;
+use rngkit::{BlockSampler, SampleCost};
 use sparsekit::{BlockedCsr, CscMatrix, Scalar};
 use std::time::Instant;
 
@@ -60,6 +66,68 @@ impl SketchTiming {
     }
 }
 
+/// Sampler adapter timing every `set_state` + `fill` into a
+/// [`LocalSpans`] accumulator under `path`, with one seek and `len` samples
+/// counted per regenerated segment.
+struct Timed<T, S> {
+    inner: S,
+    path: &'static str,
+    spans: LocalSpans,
+    started: Instant,
+    /// Scratch for `fill_axpy`, which fills here (timed) and then does the
+    /// axpy (untimed).
+    v: Vec<T>,
+}
+
+impl<T: Scalar, S: BlockSampler<T>> Timed<T, S> {
+    fn new(inner: S, path: &'static str) -> Self {
+        Self {
+            inner,
+            path,
+            spans: LocalSpans::new(),
+            started: Instant::now(),
+            v: Vec::new(),
+        }
+    }
+
+    /// Record the run's wall-clock time since `t0` under `total`, publish the
+    /// spans, and view them as a timing.
+    fn finish(mut self, total: &'static str, t0: Instant) -> SketchTiming {
+        self.spans.add_ns(total, t0.elapsed().as_nanos() as u64);
+        self.spans.publish();
+        SketchTiming::from_spans(&self.spans, total, self.path)
+    }
+}
+
+impl<T: Scalar, S: BlockSampler<T>> BlockSampler<T> for Timed<T, S> {
+    fn set_state(&mut self, block_row: usize, col: usize) {
+        self.spans.count(Ctr::Seeks, 1);
+        self.started = Instant::now();
+        self.inner.set_state(block_row, col);
+    }
+
+    fn fill(&mut self, out: &mut [T]) {
+        self.inner.fill(out);
+        self.spans
+            .add_ns(self.path, self.started.elapsed().as_nanos() as u64);
+        self.spans.count(Ctr::Samples, out.len() as u64);
+    }
+
+    fn fill_axpy(&mut self, coeff: T, out: &mut [T]) {
+        let mut v = std::mem::take(&mut self.v);
+        v.resize(out.len(), T::ZERO);
+        self.fill(&mut v);
+        for (o, &s) in out.iter_mut().zip(&v) {
+            *o = coeff.mul_add(s, *o);
+        }
+        self.v = v;
+    }
+
+    fn cost(&self) -> SampleCost {
+        self.inner.cost()
+    }
+}
+
 /// Algorithm 3 with per-fill timing. Returns the sketch and the breakdown.
 pub fn sketch_alg3_instrumented<T, S>(
     a: &CscMatrix<T>,
@@ -71,42 +139,11 @@ where
     S: BlockSampler<T> + Clone,
 {
     let t0 = Instant::now();
-    let mut sampler = sampler.clone();
+    let mut timed = Timed::new(sampler.clone(), SPAN_ALG3_SAMPLE);
     let mut ahat = Matrix::zeros(cfg.d, a.ncols());
-    let mut v = vec![T::ZERO; cfg.b_d.min(cfg.d)];
-    let mut spans = LocalSpans::new();
-
-    let n = a.ncols();
-    let mut j = 0;
-    while j < n {
-        let n1 = cfg.b_n.min(n - j);
-        let mut i = 0;
-        while i < cfg.d {
-            let d1 = cfg.b_d.min(cfg.d - i);
-            let vv = &mut v[..d1];
-            for k in j..j + n1 {
-                let (rows, vals) = a.col(k);
-                let out = &mut ahat.col_mut(k)[i..i + d1];
-                for (&jj, &ajk) in rows.iter().zip(vals.iter()) {
-                    let ts = Instant::now();
-                    sampler.set_state(i, jj);
-                    sampler.fill(vv);
-                    spans.add_ns(SPAN_ALG3_SAMPLE, ts.elapsed().as_nanos() as u64);
-                    spans.count(Ctr::Samples, d1 as u64);
-                    spans.count(Ctr::Seeks, 1);
-                    for (o, &s) in out.iter_mut().zip(vv.iter()) {
-                        *o = ajk.mul_add(s, *o);
-                    }
-                }
-            }
-            i += cfg.b_d;
-        }
-        j += cfg.b_n;
-    }
-    spans.add_ns(SPAN_ALG3, t0.elapsed().as_nanos() as u64);
-    spans.publish();
-    let timing = SketchTiming::from_spans(&spans, SPAN_ALG3, SPAN_ALG3_SAMPLE);
-    (ahat, timing)
+    let mut out = Panel::new(ahat.as_mut_slice(), cfg.d, 0);
+    alg1::drive(cfg, a.ncols(), |b| alg3::kernel(&mut out, a, b, &mut timed));
+    (ahat, timed.finish(SPAN_ALG3, t0))
 }
 
 /// Algorithm 4 with per-fill timing.
@@ -120,43 +157,14 @@ where
     S: BlockSampler<T> + Clone,
 {
     let t0 = Instant::now();
-    let mut sampler = sampler.clone();
+    let mut timed = Timed::new(sampler.clone(), SPAN_ALG4_SAMPLE);
     let mut ahat = Matrix::zeros(cfg.d, a.ncols());
+    let mut out = Panel::new(ahat.as_mut_slice(), cfg.d, 0);
     let mut v = vec![T::ZERO; cfg.b_d.min(cfg.d)];
-    let mut spans = LocalSpans::new();
-
-    for b in 0..a.nblocks() {
-        let csr = a.block(b);
-        let j0 = a.block_col_offset(b);
-        let mut i = 0;
-        while i < cfg.d {
-            let d1 = cfg.b_d.min(cfg.d - i);
-            let vv = &mut v[..d1];
-            for j in 0..csr.nrows() {
-                let (cols, vals) = csr.row(j);
-                if cols.is_empty() {
-                    continue;
-                }
-                let ts = Instant::now();
-                sampler.set_state(i, j);
-                sampler.fill(vv);
-                spans.add_ns(SPAN_ALG4_SAMPLE, ts.elapsed().as_nanos() as u64);
-                spans.count(Ctr::Samples, d1 as u64);
-                spans.count(Ctr::Seeks, 1);
-                for (&kl, &ajk) in cols.iter().zip(vals.iter()) {
-                    let out = &mut ahat.col_mut(j0 + kl)[i..i + d1];
-                    for (o, &s) in out.iter_mut().zip(vv.iter()) {
-                        *o = ajk.mul_add(s, *o);
-                    }
-                }
-            }
-            i += cfg.b_d;
-        }
+    for (csr, b) in alg4::blocks(a, cfg) {
+        alg4::kernel(&mut out, csr, b, &mut timed, &mut v);
     }
-    spans.add_ns(SPAN_ALG4, t0.elapsed().as_nanos() as u64);
-    spans.publish();
-    let timing = SketchTiming::from_spans(&spans, SPAN_ALG4, SPAN_ALG4_SAMPLE);
-    (ahat, timing)
+    (ahat, timed.finish(SPAN_ALG4, t0))
 }
 
 #[cfg(test)]

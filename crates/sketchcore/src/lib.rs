@@ -14,7 +14,10 @@
 //! * [`config`] — blocking parameters `(b_d, b_n)`, sketch size `d = γ·n`,
 //!   flop accounting.
 //! * [`alg1`] — the outer blocking driver (paper Algorithm 1):
-//!   `(⌈d/b_d⌉, 1, ⌈n/b_n⌉)`-blocking with the column loop outermost.
+//!   `(⌈d/b_d⌉, 1, ⌈n/b_n⌉)`-blocking with the column loop outermost. It
+//!   enumerates the blocks for every driver and defines how a kernel writes
+//!   `Â`: one column segment at a time, through a column-major panel (the
+//!   whole matrix, or one chunk of columns) or a row-stripe window.
 //! * [`alg3`] — compute kernel variant `kji` with RNG (paper Algorithm 3):
 //!   consumes plain CSC, strided access to all three operands, regenerates a
 //!   column of `S` per nonzero of `A`. Pattern-oblivious.
@@ -22,13 +25,27 @@
 //!   consumes [`sparsekit::BlockedCsr`], regenerates a column of `S` once per
 //!   *row* of each vertical block, reusing it across that row's nonzeros —
 //!   fewer samples, less regular access.
+//!
+//!   Each algorithm has exactly **one block kernel body**. Every driver —
+//!   sequential, column panel, row stripe ([`parallel`]), multi-seed batch
+//!   ([`multi`]), instrumented ([`instrument`]), hardened ([`robust`]) —
+//!   runs it; drivers differ only in which outer loop they split and where
+//!   they write. What a regenerated segment *is* comes from sampler
+//!   adapters: ±1 signs (`sketch_alg*_signs`) wrap an `i8` sampler whose
+//!   `fill_axpy` is a sign-select add, the Tables III/V split wraps a timer
+//!   around `set_state` + `fill`, and [`FaultSampler`] poisons the stream
+//!   for fault injection.
 //! * [`variants`] — all six `i/j/k` loop orderings of the toy kernel from
 //!   paper §II-B, kept as executable documentation of the design-space
 //!   argument (why `ikj`, `kij`, `ijk` and `jik` are ruled out).
 //! * [`parallel`] — parkit parallelizations of Algorithm 1's two outer loops
 //!   (paper §II-C): over column panels or over row stripes of `Â`.
-//! * [`instrument`] — sample-time vs total-time split (paper Tables III/V),
-//!   now a view over obskit spans.
+//! * [`multi`] — `k` seeds in one blocked pass over `A` (the serving
+//!   layer's batch): each block runs the Algorithm 3 kernel once per seed.
+//! * [`instrument`] — sample-time vs total-time split (paper Tables III/V)
+//!   through a timing sampler adapter, viewed as obskit spans.
+//! * [`robust`] — hardened entry points sharing one validate → contain
+//!   panics → scan output shell, with a memory-budget planner.
 //! * [`model`] — the roofline/computational-intensity model of §III-A, with
 //!   the block-size optimizer of eq. (4) and the closed forms (5)–(7).
 //! * [`obs`] — telemetry glue: block-granularity counters the kernels bump

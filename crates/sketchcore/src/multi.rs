@@ -16,21 +16,23 @@
 //! `A` (traversal-dominated), and at the service level where a batch also
 //! amortizes queue transit and dispatch wakeups.
 //!
-//! **Bitwise contract:** for every request `r`, the batched kernel performs
-//! exactly the same `(set_state, fill_axpy)` call sequence on sampler `r`
-//! as a sequential `sketch_alg3` call with that sampler would — same blocks,
-//! same order, same slices. Checkpointed samplers are pure functions of
-//! `(seed, i, j)`, so output `r` is bitwise identical to the sequential
+//! **Bitwise contract:** inside each block the batch loops over its
+//! samplers and runs Algorithm 3's one kernel body ([`crate::alg3`]) for
+//! each, so sampler `r` sees exactly the `(set_state, fill_axpy)` call
+//! sequence a sequential `sketch_alg3` call with that sampler would — same
+//! blocks, same order, same slices. Checkpointed samplers are pure functions
+//! of `(seed, i, j)`, so output `r` is bitwise identical to the sequential
 //! result (asserted by this module's tests and re-asserted end-to-end by
 //! `sketchd`'s batching tests).
 
-use crate::alg1;
+use crate::alg1::{self, Panel};
+use crate::alg3;
 use crate::config::SketchConfig;
-use crate::error::{panic_payload_to_string, SketchError};
+use crate::error::SketchError;
+use crate::robust::checked;
 use densekit::Matrix;
 use rngkit::BlockSampler;
 use sparsekit::{CscMatrix, Scalar};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Compute `k` sketches `Âᵣ = Sᵣ·A` in one blocked pass over `A`.
 ///
@@ -55,18 +57,10 @@ where
     let mut ss: Vec<S> = samplers.to_vec();
     alg1::drive(cfg, a.ncols(), |b| {
         let t0 = crate::obs::block_timer();
-        for k in b.j..b.j + b.n1 {
-            let (rows, vals) = a.col(k);
-            for (&j, &ajk) in rows.iter().zip(vals.iter()) {
-                // Requests innermost: the (j, ajk) operand element is loaded
-                // once and reused across the whole batch. Each request keeps
-                // the exact per-sampler call order of the sequential kernel.
-                for (s, m) in ss.iter_mut().zip(outs.iter_mut()) {
-                    let out = &mut m.col_mut(k)[b.i..b.i + b.d1];
-                    s.set_state(b.i, j);
-                    s.fill_axpy(ajk, out);
-                }
-            }
+        // The block's slice of A is streamed by the first request and
+        // served to the rest from cache.
+        for (s, m) in ss.iter_mut().zip(outs.iter_mut()) {
+            alg3::kernel(&mut Panel::new(m.as_mut_slice(), cfg.d, 0), a, b, s);
         }
         if let Some(t0) = t0 {
             let dur_ns = t0.elapsed().as_nanos() as u64;
@@ -110,21 +104,7 @@ where
     T: Scalar,
     S: BlockSampler<T> + Clone,
 {
-    if validate {
-        a.validate()?;
-    }
-    let outs = catch_unwind(AssertUnwindSafe(|| sketch_alg3_multi(a, cfg, samplers)))
-        .map_err(|p| SketchError::WorkerPanic(panic_payload_to_string(p.as_ref())))?;
-    for m in &outs {
-        for j in 0..m.ncols() {
-            for (i, v) in m.col(j).iter().enumerate() {
-                if !v.is_finite() {
-                    return Err(SketchError::NonFiniteSketch { row: i, col: j });
-                }
-            }
-        }
-    }
-    Ok(outs)
+    checked(a, validate, || Ok(sketch_alg3_multi(a, cfg, samplers)))
 }
 
 #[cfg(test)]

@@ -11,9 +11,13 @@
 //!   contiguous, so this driver uses a raw-pointer window with a manual
 //!   disjointness argument (see `StripeWriter`).
 //!
-//! Because every checkpoint `(i, j)` regenerates the same entries of `S`
-//! regardless of which thread asks, the parallel results are bit-identical
-//! to the sequential ones — the determinism test below pins this down.
+//! Every driver runs the same block kernels as the sequential ones
+//! ([`crate::alg3`]'s and [`crate::alg4`]'s `block`), writing through a
+//! column panel or a stripe window; only the split of the outer loops
+//! differs. Because every checkpoint `(i, j)` regenerates the same entries
+//! of `S` regardless of which thread asks, the parallel results are
+//! bit-identical to the sequential ones — the determinism test below pins
+//! this down.
 //!
 //! Telemetry: each driver opens an obskit span, and every worker records
 //! block-granularity counters (samples drawn, `set_state` seeks, FLOPs,
@@ -22,12 +26,13 @@
 //! point, so the cost on the hot path is one relaxed atomic load per outer
 //! block — nothing per nonzero.
 
-use crate::alg1::OuterBlock;
+use crate::alg1::{self, ColumnSegments, OuterBlock, Panel};
 use crate::config::SketchConfig;
-use crate::obs;
+use crate::{alg3, alg4};
 use densekit::Matrix;
 use rngkit::BlockSampler;
 use sparsekit::{BlockedCsr, CscMatrix, Scalar};
+use std::marker::PhantomData;
 
 /// Algorithm 3 parallelized over column panels of `Â` (the `j` loop).
 pub fn sketch_alg3_par_cols<T, S>(a: &CscMatrix<T>, cfg: &SketchConfig, sampler: &S) -> Matrix<T>
@@ -38,39 +43,13 @@ where
     let _sp = obskit::span("sketch/alg3_par_cols");
     let d = cfg.d;
     let mut ahat = Matrix::zeros(d, a.ncols());
-    parkit::for_each_chunk_mut(ahat.as_mut_slice(), d * cfg.b_n, |p, panel| {
+    parkit::for_each_chunk_mut(ahat.as_mut_slice(), d * cfg.b_n, |p, chunk| {
         let j0 = p * cfg.b_n;
-        let n1 = panel.len() / d;
+        let n1 = chunk.len() / d;
+        let mut out = Panel::new(chunk, d, j0);
         let mut sampler = sampler.clone();
-        let mut i = 0;
-        while i < d {
-            let d1 = cfg.b_d.min(d - i);
-            let t0 = obs::block_timer();
-            let mut nnz_b = 0usize;
-            for kl in 0..n1 {
-                let (rows, vals) = a.col(j0 + kl);
-                nnz_b += rows.len();
-                let out = &mut panel[kl * d + i..kl * d + i + d1];
-                for (&j, &ajk) in rows.iter().zip(vals.iter()) {
-                    sampler.set_state(i, j);
-                    sampler.fill_axpy(ajk, out);
-                }
-            }
-            if let Some(t0) = t0 {
-                obs::block_done::<T>(
-                    obs::BlockObs {
-                        path: "sketch/alg3_par_cols/block",
-                        i,
-                        j: j0,
-                        d1,
-                        n1,
-                        nnz: nnz_b,
-                        rows_hit: None,
-                    },
-                    t0.elapsed().as_nanos() as u64,
-                );
-            }
-            i += cfg.b_d;
+        for b in alg1::panel(cfg, j0, n1) {
+            alg3::block(&mut out, a, b, &mut sampler, "sketch/alg3_par_cols/block");
         }
     });
     ahat
@@ -80,29 +59,59 @@ where
 /// matrix.
 ///
 /// # Safety argument
-/// `par_rows` creates one `StripeWriter` per `b_d`-row stripe. Stripe `t`
-/// touches only elements `col·d + i .. col·d + i + d1` with
-/// `i = t·b_d`, `d1 ≤ b_d`, so element sets of distinct stripes are disjoint
-/// for every column. No two workers ever alias the same element, and the
-/// parent borrow outlives the scope — the standard tiled-output pattern.
-struct StripeWriter<T> {
+/// The row-stripe drivers create one `StripeWriter` per `b_d`-row stripe
+/// (see [`stripes`]). Stripe `t` touches only elements
+/// `col·d + i .. col·d + i + d1` with `i = t·b_d`, `d1 ≤ b_d`, so element
+/// sets of distinct stripes are disjoint for every column. No two workers
+/// ever alias the same element, and the `'a` borrow of the matrix outlives
+/// every stripe — the standard tiled-output pattern.
+struct StripeWriter<'a, T> {
     base: *mut T,
+    /// Rows and columns of the matrix behind `base`.
     d: usize,
+    n: usize,
+    /// The stripe: rows `i..i + d1`, with `i + d1 ≤ d`.
     i: usize,
     d1: usize,
+    _matrix: PhantomData<&'a mut T>,
 }
 
-unsafe impl<T: Send> Send for StripeWriter<T> {}
+// SAFETY: `base` points into a matrix mutably borrowed for `'a`, and this
+// stripe's element set is disjoint from every other stripe's (see the type
+// docs), so moving it to another thread shares no element; `d`, `n`, `i` and
+// `d1` are plain integers. `T: Send` because the receiving thread writes `T`s.
+unsafe impl<T: Send> Send for StripeWriter<'_, T> {}
 
-impl<T: Scalar> StripeWriter<T> {
+impl<T> ColumnSegments<T> for StripeWriter<'_, T> {
     /// The `d1` contiguous elements of column `col` inside this stripe.
     #[inline(always)]
-    fn col_segment(&mut self, col: usize) -> &mut [T] {
-        // SAFETY: see the type-level disjointness argument; `col·d + i + d1`
-        // stays within the allocation because callers construct stripes from
-        // the owning matrix's dimensions.
+    fn segment(&mut self, col: usize, i: usize, d1: usize) -> &mut [T] {
+        assert!(
+            col < self.n && i == self.i && d1 == self.d1,
+            "segment outside the stripe"
+        );
+        // SAFETY: `col < n` and `i + d1 ≤ d` (checked above and by
+        // `stripes`), so `col·d + i .. col·d + i + d1` lies inside the
+        // `d×n` allocation, and it belongs to this stripe alone (type docs).
         unsafe { std::slice::from_raw_parts_mut(self.base.add(col * self.d + self.i), self.d1) }
     }
+}
+
+/// Split `ahat` into Algorithm 1's row stripes, one writer each.
+fn stripes<'a, T: Scalar>(ahat: &'a mut Matrix<T>, cfg: &SketchConfig) -> Vec<StripeWriter<'a, T>> {
+    let (d, n) = (ahat.nrows(), ahat.ncols());
+    assert_eq!(d, cfg.d, "stripes of a matrix with cfg.d rows");
+    let base = ahat.as_mut_slice().as_mut_ptr();
+    alg1::row_blocks(cfg)
+        .map(|(i, d1)| StripeWriter {
+            base,
+            d,
+            n,
+            i,
+            d1,
+            _matrix: PhantomData,
+        })
+        .collect()
 }
 
 /// Algorithm 3 parallelized over row stripes of `Â` (the `i` loop).
@@ -112,54 +121,21 @@ where
     S: BlockSampler<T> + Clone + Send + Sync,
 {
     let _sp = obskit::span("sketch/alg3_par_rows");
-    let d = cfg.d;
     let n = a.ncols();
-    let mut ahat = Matrix::zeros(d, n);
-    let base = ahat.as_mut_slice().as_mut_ptr();
-
-    let stripes: Vec<StripeWriter<T>> = (0..d)
-        .step_by(cfg.b_d)
-        .map(|i| StripeWriter {
-            base,
-            d,
-            i,
-            d1: cfg.b_d.min(d - i),
-        })
-        .collect();
-
-    parkit::for_each(stripes, |mut stripe| {
+    let mut ahat = Matrix::zeros(cfg.d, n);
+    parkit::for_each(stripes(&mut ahat, cfg), |mut stripe| {
         let mut sampler = sampler.clone();
         let (i, d1) = (stripe.i, stripe.d1);
         // Keep Algorithm 1's column-block-outermost order inside the stripe.
-        let mut j = 0;
-        while j < n {
-            let n1 = cfg.b_n.min(n - j);
-            let t0 = obs::block_timer();
-            let mut nnz_b = 0usize;
-            for k in j..j + n1 {
-                let (rows, vals) = a.col(k);
-                nnz_b += rows.len();
-                let out = stripe.col_segment(k);
-                for (&jj, &ajk) in rows.iter().zip(vals.iter()) {
-                    sampler.set_state(i, jj);
-                    sampler.fill_axpy(ajk, out);
-                }
-            }
-            if let Some(t0) = t0 {
-                obs::block_done::<T>(
-                    obs::BlockObs {
-                        path: "sketch/alg3_par_rows/block",
-                        i,
-                        j,
-                        d1,
-                        n1,
-                        nnz: nnz_b,
-                        rows_hit: None,
-                    },
-                    t0.elapsed().as_nanos() as u64,
-                );
-            }
-            j += cfg.b_n;
+        for (j, n1) in alg1::col_blocks(cfg.b_n, n) {
+            let b = OuterBlock { i, d1, j, n1 };
+            alg3::block(
+                &mut stripe,
+                a,
+                b,
+                &mut sampler,
+                "sketch/alg3_par_rows/block",
+            );
         }
     });
     ahat
@@ -172,59 +148,28 @@ where
     S: BlockSampler<T> + Clone + Send + Sync,
 {
     let _sp = obskit::span("sketch/alg4_par_rows");
-    let d = cfg.d;
-    let n = a.ncols();
-    let mut ahat = Matrix::zeros(d, n);
-    let base = ahat.as_mut_slice().as_mut_ptr();
-
-    let stripes: Vec<StripeWriter<T>> = (0..d)
-        .step_by(cfg.b_d)
-        .map(|i| StripeWriter {
-            base,
-            d,
-            i,
-            d1: cfg.b_d.min(d - i),
-        })
-        .collect();
-
-    parkit::for_each(stripes, |mut stripe| {
+    let mut ahat = Matrix::zeros(cfg.d, a.ncols());
+    parkit::for_each(stripes(&mut ahat, cfg), |mut stripe| {
         let mut sampler = sampler.clone();
         let mut v = vec![T::ZERO; stripe.d1];
         let (i, d1) = (stripe.i, stripe.d1);
-        for b in 0..a.nblocks() {
-            let csr = a.block(b);
-            let j0 = a.block_col_offset(b);
-            let t0 = obs::block_timer();
-            let mut rows_hit = 0usize;
-            for j in 0..csr.nrows() {
-                let (cols, vals) = csr.row(j);
-                if cols.is_empty() {
-                    continue;
-                }
-                rows_hit += 1;
-                sampler.set_state(i, j);
-                sampler.fill(&mut v[..d1]);
-                for (&kl, &ajk) in cols.iter().zip(vals.iter()) {
-                    let out = stripe.col_segment(j0 + kl);
-                    for (o, &s) in out.iter_mut().zip(v.iter()) {
-                        *o = ajk.mul_add(s, *o);
-                    }
-                }
-            }
-            if let Some(t0) = t0 {
-                obs::block_done::<T>(
-                    obs::BlockObs {
-                        path: "sketch/alg4_par_rows/block",
-                        i,
-                        j: j0,
-                        d1,
-                        n1: csr.ncols(),
-                        nnz: csr.nnz(),
-                        rows_hit: Some(rows_hit),
-                    },
-                    t0.elapsed().as_nanos() as u64,
-                );
-            }
+        for blk in 0..a.nblocks() {
+            let csr = a.block(blk);
+            let j = a.block_col_offset(blk);
+            let b = OuterBlock {
+                i,
+                d1,
+                j,
+                n1: csr.ncols(),
+            };
+            alg4::block(
+                &mut stripe,
+                csr,
+                b,
+                &mut sampler,
+                &mut v,
+                "sketch/alg4_par_rows/block",
+            );
         }
     });
     ahat
@@ -238,48 +183,22 @@ where
 {
     let _sp = obskit::span("sketch/alg4_par_cols");
     let d = cfg.d;
-    let bw = a.block_width();
     let mut ahat = Matrix::zeros(d, a.ncols());
-    parkit::for_each_chunk_mut(ahat.as_mut_slice(), d * bw, |b, panel| {
-        let csr = a.block(b);
+    parkit::for_each_chunk_mut(ahat.as_mut_slice(), d * a.block_width(), |blk, chunk| {
+        let csr = a.block(blk);
+        let j0 = a.block_col_offset(blk);
+        let mut out = Panel::new(chunk, d, j0);
         let mut sampler = sampler.clone();
         let mut v = vec![T::ZERO; cfg.b_d.min(d)];
-        let mut i = 0;
-        while i < d {
-            let d1 = cfg.b_d.min(d - i);
-            let vv = &mut v[..d1];
-            let t0 = obs::block_timer();
-            let mut rows_hit = 0usize;
-            for j in 0..csr.nrows() {
-                let (cols, vals) = csr.row(j);
-                if cols.is_empty() {
-                    continue;
-                }
-                rows_hit += 1;
-                sampler.set_state(i, j);
-                sampler.fill(vv);
-                for (&kl, &ajk) in cols.iter().zip(vals.iter()) {
-                    let out = &mut panel[kl * d + i..kl * d + i + d1];
-                    for (o, &s) in out.iter_mut().zip(vv.iter()) {
-                        *o = ajk.mul_add(s, *o);
-                    }
-                }
-            }
-            if let Some(t0) = t0 {
-                obs::block_done::<T>(
-                    obs::BlockObs {
-                        path: "sketch/alg4_par_cols/block",
-                        i,
-                        j: a.block_col_offset(b),
-                        d1,
-                        n1: panel.len() / d,
-                        nnz: csr.nnz(),
-                        rows_hit: Some(rows_hit),
-                    },
-                    t0.elapsed().as_nanos() as u64,
-                );
-            }
-            i += cfg.b_d;
+        for b in alg1::panel(cfg, j0, csr.ncols()) {
+            alg4::block(
+                &mut out,
+                csr,
+                b,
+                &mut sampler,
+                &mut v,
+                "sketch/alg4_par_cols/block",
+            );
         }
     });
     ahat
@@ -290,12 +209,6 @@ where
 pub fn with_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
     parkit::with_threads(threads, f)
 }
-
-// Re-exported for the drivers' shared block type.
-#[allow(unused_imports)]
-pub(crate) use crate::alg1::blocks as outer_blocks;
-#[allow(dead_code)]
-fn _type_check(_: OuterBlock) {}
 
 #[cfg(test)]
 mod tests {

@@ -25,6 +25,14 @@
 //! 4. **Output scan** — the finished sketch is scanned for NaN/Inf
 //!    ([`SketchError::NonFiniteSketch`]) so poisoned data cannot leak into
 //!    a downstream factorization panic.
+//!
+//! The three hardened entry points — [`try_sketch_alg3`],
+//! [`try_sketch_alg3_par_cols`] and [`crate::try_sketch_alg3_multi`] (no
+//! budget planner; validation optional) — share one shell for validation,
+//! panic containment and the output scan. Underneath, they call the plain
+//! drivers, so they run the same block kernels as every other driver; fault
+//! injection is one more sampler adapter ([`FaultSampler`]) around the
+//! caller's sampler.
 
 use crate::config::SketchConfig;
 use crate::error::{panic_payload_to_string, SketchError};
@@ -175,31 +183,32 @@ impl<T: Scalar, S: BlockSampler<T>> BlockSampler<T> for FaultSampler<S> {
     }
 }
 
-/// Scan a finished sketch for non-finite entries.
-fn check_output<T: Scalar>(ahat: &Matrix<T>) -> Result<(), SketchError> {
-    for j in 0..ahat.ncols() {
-        for (i, v) in ahat.col(j).iter().enumerate() {
-            if !v.is_finite() {
-                return Err(SketchError::NonFiniteSketch { row: i, col: j });
-            }
-        }
-    }
-    Ok(())
-}
-
-fn run_checked<T, F>(f: F) -> Result<Matrix<T>, SketchError>
+/// The hardened drivers' shared shell: validate `a` (when asked), run the
+/// sketch with panics captured as [`SketchError::WorkerPanic`], then scan
+/// every output for non-finite entries.
+pub(crate) fn checked<T, R, F>(a: &CscMatrix<T>, validate: bool, run: F) -> Result<R, SketchError>
 where
     T: Scalar,
-    F: FnOnce() -> Matrix<T>,
+    R: AsRef<[Matrix<T>]>,
+    F: FnOnce() -> Result<R, SketchError>,
 {
+    if validate {
+        a.validate()?;
+    }
     // parkit re-raises worker panic payloads on the calling thread after
     // flushing telemetry; catching here turns them into typed errors.
     // AssertUnwindSafe: the closure only owns its operands; on Err nothing
     // it touched is observable.
-    let ahat = catch_unwind(AssertUnwindSafe(f))
-        .map_err(|p| SketchError::WorkerPanic(panic_payload_to_string(p.as_ref())))?;
-    check_output(&ahat)?;
-    Ok(ahat)
+    let out = catch_unwind(AssertUnwindSafe(run))
+        .map_err(|p| SketchError::WorkerPanic(panic_payload_to_string(p.as_ref())))??;
+    for ahat in out.as_ref() {
+        for j in 0..ahat.ncols() {
+            if let Some(i) = ahat.col(j).iter().position(|v| !v.is_finite()) {
+                return Err(SketchError::NonFiniteSketch { row: i, col: j });
+            }
+        }
+    }
+    Ok(out)
 }
 
 /// Hardened sequential Algorithm 3: validated input, budget-fitted blocks,
@@ -213,14 +222,15 @@ where
     T: Scalar,
     S: BlockSampler<T> + Clone,
 {
-    a.validate()?;
-    let plan = plan_blocks::<T>(cfg, a.ncols())?;
-    if faultkit::armed() {
-        let faulty = FaultSampler::new(sampler.clone());
-        run_checked(|| crate::sketch_alg3(a, &plan.cfg, &faulty))
-    } else {
-        run_checked(|| crate::sketch_alg3(a, &plan.cfg, sampler))
-    }
+    let [ahat] = checked(a, true, || {
+        let plan = plan_blocks::<T>(cfg, a.ncols())?;
+        Ok([if faultkit::armed() {
+            crate::sketch_alg3(a, &plan.cfg, &FaultSampler::new(sampler.clone()))
+        } else {
+            crate::sketch_alg3(a, &plan.cfg, sampler)
+        }])
+    })?;
+    Ok(ahat)
 }
 
 /// Hardened parallel Algorithm 3 (column-panel driver): everything
@@ -237,14 +247,15 @@ where
     T: Scalar + Send + Sync,
     S: BlockSampler<T> + Clone + Send + Sync,
 {
-    a.validate()?;
-    let plan = plan_blocks::<T>(cfg, a.ncols())?;
-    if faultkit::armed() {
-        let faulty = FaultSampler::new(sampler.clone());
-        run_checked(|| crate::sketch_alg3_par_cols(a, &plan.cfg, &faulty))
-    } else {
-        run_checked(|| crate::sketch_alg3_par_cols(a, &plan.cfg, sampler))
-    }
+    let [ahat] = checked(a, true, || {
+        let plan = plan_blocks::<T>(cfg, a.ncols())?;
+        Ok([if faultkit::armed() {
+            crate::sketch_alg3_par_cols(a, &plan.cfg, &FaultSampler::new(sampler.clone()))
+        } else {
+            crate::sketch_alg3_par_cols(a, &plan.cfg, sampler)
+        }])
+    })?;
+    Ok(ahat)
 }
 
 #[cfg(test)]
