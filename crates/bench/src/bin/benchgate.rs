@@ -13,7 +13,10 @@
 //! full run manifest. `--against` re-runs the suite at the baseline's scale
 //! and compares per-scenario medians with the noise-aware threshold
 //! `max(rel_tol·median, k·MAD)`, cross-checking that the deterministic work
-//! counters are bitwise identical (perf drift vs work drift). `list` prints
+//! counters are bitwise identical (perf drift vs work drift); a
+//! `build differs:` line names the build and host fields (rustc, target
+//! and runtime CPU features, CPU, core count) in which the baseline's
+//! manifest differs from the running binary. `list` prints
 //! the scenario suite (name, kernel, shape) without running anything.
 //!
 //! `--obs-json PATH` (or `SKETCH_OBS_JSON`) exports the suite's telemetry —
@@ -31,7 +34,7 @@
 
 use bench::gate::{
     compare, print_deltas, print_suite, record_baseline_with_snapshot, run_suite_with_snapshot,
-    Baseline, GateConfig,
+    Baseline, GateConfig, Manifest,
 };
 use bench::tracecli::TraceOpts;
 use std::process::ExitCode;
@@ -187,6 +190,11 @@ fn main() -> ExitCode {
             "benchgate: comparing against {path} (git {}, recorded scale 1/{}, {} reps, rel_tol {:.0}%, mad_k {})",
             base.manifest.git_sha, cfg.scale, cfg.reps, cfg.rel_tol * 100.0, cfg.mad_k
         );
+        let differs = base.manifest.build_differences(&Manifest::current(&cfg));
+        if !differs.is_empty() {
+            // Informational: work counters still gate, timings may not compare.
+            println!("build differs: {}", differs.join(", "));
+        }
         let (current, snap) = match run_suite_with_snapshot(&cfg) {
             Ok(c) => c,
             Err(e) => {

@@ -115,12 +115,11 @@ pub fn roofline() {
     let h = mem_rate / rng_rate;
     println!("\nmeasured: peak {peak:.1} GFLOP/s, bandwidth {bw:.1} GB/s, machine balance {balance:.1} flops/word");
     println!(
-        "RNG rate {:.2} Gsamples/s → h = (cost of RNG / cost of load) = {:.3}",
+        "RNG rate {:.2} Gsamples/s → h = (cost of RNG / cost of load) = {h:.3}",
         rng_rate / 1e9,
-        1.0 / h
     );
 
-    let model = CostModel::new(131_072.0, (1.0 / h).min(0.999), balance);
+    let model = CostModel::new(131_072.0, h.min(0.999), balance);
     let mut rows = Vec::new();
     for rho in [1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 0.9] {
         let p = model.optimize(rho);

@@ -13,9 +13,10 @@
 //!   execution), snapshots the deterministic work counters, and summarizes
 //!   the per-block latency histograms.
 //! * [`Baseline`] embeds a run manifest — git SHA, suite seed, scale,
-//!   thread count, cargo features, an obskit counter snapshot and the
-//!   measured-vs-model traffic ratios — for provenance, and round-trips
-//!   through the hand-rolled [`crate::json`] module.
+//!   the build and host identity (rustc, compile-time and runtime CPU
+//!   features, CPU brand, core count), cargo features, an obskit counter
+//!   snapshot and the measured-vs-model traffic ratios — for provenance,
+//!   and round-trips through the hand-rolled [`crate::json`] module.
 //! * [`compare`] is the noise-aware gate: per-scenario medians are compared
 //!   with a MAD-scaled threshold (`max(rel_tol·median, k·MAD)`), so only
 //!   changes that clear both the relative floor and the run's own measured
@@ -31,7 +32,7 @@
 //! comparable on the host that recorded them.
 
 use crate::json::{parse, Jval};
-use crate::{fmt_s, print_table};
+use crate::{fmt_s, ident, print_table};
 use datagen::lsq::{tall_conditioned, CondSpec};
 use datagen::make_rhs;
 use lstsq::{
@@ -346,6 +347,14 @@ pub struct Manifest {
     pub reps: usize,
     /// `available_parallelism` of the recording host.
     pub threads: usize,
+    /// `rustc --version` of the compiler that built the recording binary.
+    pub rustc: String,
+    /// Target features the recording binary was compiled for.
+    pub target_features: String,
+    /// x86 features detected on the recording host at run time.
+    pub runtime_features: String,
+    /// CPU brand string of the recording host.
+    pub cpu: String,
     /// Cargo features compiled in (currently `obs` or nothing).
     pub cargo_features: Vec<String>,
     /// obskit crate version.
@@ -356,6 +365,58 @@ pub struct Manifest {
     /// Measured-vs-model traffic ratio per kernel, from a calibration
     /// sketch on the suite's tall operand.
     pub traffic_ratios: Vec<(String, f64)>,
+}
+
+impl Manifest {
+    /// The manifest of this binary on this host for a run under `cfg`,
+    /// before any work: no counters and no traffic ratios.
+    pub fn current(cfg: &GateConfig) -> Self {
+        Self {
+            created_unix: std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .map(|d| d.as_secs())
+                .unwrap_or(0),
+            git_sha: git_sha(),
+            seed: SUITE_SEED,
+            scale: cfg.scale,
+            reps: cfg.reps,
+            threads: ident::threads(),
+            rustc: ident::rustc(),
+            target_features: ident::target_features(),
+            runtime_features: ident::runtime_features(),
+            cpu: ident::cpu(),
+            cargo_features: if obskit::OBS_COMPILED {
+                vec!["obs".to_string()]
+            } else {
+                Vec::new()
+            },
+            obskit_version: obskit::VERSION.to_string(),
+            counters: [0; NCTR],
+            traffic_ratios: Vec::new(),
+        }
+    }
+
+    /// Names of the build and host fields in which `self` and `other`
+    /// differ: timings are comparable only when this is empty.
+    pub fn build_differences(&self, other: &Manifest) -> Vec<&'static str> {
+        [
+            ("rustc", self.rustc == other.rustc),
+            (
+                "target_features",
+                self.target_features == other.target_features,
+            ),
+            (
+                "runtime_features",
+                self.runtime_features == other.runtime_features,
+            ),
+            ("cpu", self.cpu == other.cpu),
+            ("threads", self.threads == other.threads),
+        ]
+        .into_iter()
+        .filter(|&(_, same)| !same)
+        .map(|(name, _)| name)
+        .collect()
+    }
 }
 
 /// A recorded `BENCH_*.json` baseline: manifest plus per-scenario results.
@@ -592,25 +653,9 @@ pub fn record_baseline_with_snapshot(
         }
     }
     let manifest = Manifest {
-        created_unix: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
-        git_sha: git_sha(),
-        seed: SUITE_SEED,
-        scale: cfg.scale,
-        reps: cfg.reps,
-        threads: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        cargo_features: if obskit::OBS_COMPILED {
-            vec!["obs".to_string()]
-        } else {
-            Vec::new()
-        },
-        obskit_version: obskit::VERSION.to_string(),
         counters,
         traffic_ratios: traffic_calibration(cfg.scale),
+        ..Manifest::current(cfg)
     };
     Ok((
         Baseline {
@@ -669,6 +714,15 @@ fn str_field(v: &Jval, key: &str) -> Result<String, String> {
         .ok_or_else(|| format!("missing string field {key}"))
 }
 
+/// A build-identity string field, or [`ident::UNKNOWN`] in baselines
+/// recorded before the manifest carried it.
+fn build_field(v: &Jval, key: &str) -> String {
+    v.get(key)
+        .and_then(Jval::as_str)
+        .unwrap_or(ident::UNKNOWN)
+        .to_string()
+}
+
 impl Baseline {
     /// Serialize as pretty-printed JSON.
     pub fn to_json(&self) -> String {
@@ -680,6 +734,16 @@ impl Baseline {
             ("scale".into(), Jval::U(m.scale as u64)),
             ("reps".into(), Jval::U(m.reps as u64)),
             ("threads".into(), Jval::U(m.threads as u64)),
+            ("rustc".into(), Jval::Str(m.rustc.clone())),
+            (
+                "target_features".into(),
+                Jval::Str(m.target_features.clone()),
+            ),
+            (
+                "runtime_features".into(),
+                Jval::Str(m.runtime_features.clone()),
+            ),
+            ("cpu".into(), Jval::Str(m.cpu.clone())),
             (
                 "cargo_features".into(),
                 Jval::Arr(
@@ -767,6 +831,10 @@ impl Baseline {
             scale: u64_field(m, "scale")? as usize,
             reps: u64_field(m, "reps")? as usize,
             threads: u64_field(m, "threads")? as usize,
+            rustc: build_field(m, "rustc"),
+            target_features: build_field(m, "target_features"),
+            runtime_features: build_field(m, "runtime_features"),
+            cpu: build_field(m, "cpu"),
             cargo_features: m
                 .get("cargo_features")
                 .and_then(Jval::as_arr)
@@ -1014,6 +1082,10 @@ mod tests {
                 scale: 4,
                 reps: 3,
                 threads: 1,
+                rustc: "rustc 1.0.0".into(),
+                target_features: "fxsr,sse,sse2".into(),
+                runtime_features: "avx,avx2,fma".into(),
+                cpu: "Test CPU @ 1.00GHz".into(),
                 cargo_features: vec!["obs".into()],
                 obskit_version: "0.1.0".into(),
                 counters: [0; NCTR],
@@ -1118,6 +1190,49 @@ mod tests {
         let text = base.to_json();
         let back = Baseline::from_json(&text).expect("parse back");
         assert_eq!(base, back);
+        assert!(base.manifest.build_differences(&back.manifest).is_empty());
+        for (key, value) in [
+            ("rustc", "rustc 1.0.0"),
+            ("target_features", "fxsr,sse,sse2"),
+            ("runtime_features", "avx,avx2,fma"),
+            ("cpu", "Test CPU @ 1.00GHz"),
+        ] {
+            assert!(
+                text.contains(&format!("\"{key}\": \"{value}\"")),
+                "{key} missing from {text}"
+            );
+        }
+    }
+
+    #[test]
+    fn build_differences_name_each_differing_field() {
+        let a = tiny_baseline(vec![]).manifest;
+        let mut b = a.clone();
+        b.target_features = "avx2,fma".into();
+        b.threads = 2;
+        assert_eq!(a.build_differences(&b), ["target_features", "threads"]);
+        let here = Manifest::current(&GateConfig::default());
+        assert_eq!(here.build_differences(&here.clone()), Vec::<&str>::new());
+        assert_ne!(here.rustc, ident::UNKNOWN);
+    }
+
+    #[test]
+    fn baselines_without_build_identity_parse_as_unknown() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_0002.json");
+        let text = std::fs::read_to_string(path).expect("BENCH_0002.json is committed");
+        let base = Baseline::from_json(&text).expect("BENCH_0002 parses");
+        let m = &base.manifest;
+        for field in [&m.rustc, &m.target_features, &m.runtime_features, &m.cpu] {
+            assert_eq!(field, ident::UNKNOWN);
+        }
+        assert_eq!(m.threads, 2);
+        assert_eq!(base.scenarios.len(), 9);
+        // The running build is known, so its identity strings differ.
+        let differs = m.build_differences(&Manifest::current(&GateConfig::default()));
+        assert!(
+            differs.starts_with(&["rustc", "target_features", "runtime_features"]),
+            "{differs:?}"
+        );
     }
 
     #[test]

@@ -18,6 +18,7 @@ pub mod extensions;
 pub mod figures;
 pub mod flame;
 pub mod gate;
+pub mod ident;
 pub mod json;
 pub mod solvers;
 pub mod tables;

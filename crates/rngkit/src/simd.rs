@@ -1,10 +1,13 @@
 //! Struct-of-arrays SIMD xoshiro256++ — the workhorse generator.
 //!
 //! `L` xoshiro256++ lanes stored as four `[u64; L]` state arrays so that one
-//! generator step is a handful of elementwise array operations; with
-//! `-C target-cpu=native` LLVM lowers each to a single AVX-512/AVX2 vector
-//! instruction, reproducing the throughput of the SIMD xoshiro the paper
-//! uses via Julia (§IV-A). Lane `l`'s stream is *bit-identical* to lane `l`
+//! generator step is a handful of elementwise array operations. Under the
+//! repository's `-C target-cpu=native` build LLVM lowers each to vector
+//! instructions on 256-bit ymm registers, two per 8-lane array; on an
+//! AVX-512 Xeon these include the AVX-512VL rotate `vprolq` and, in the
+//! seek's SplitMix multiplies, AVX-512DQ `vpmullq`, but no zmm registers.
+//! That reproduces the throughput of the SIMD xoshiro the paper uses via
+//! Julia (§IV-A). Lane `l`'s stream is *bit-identical* to lane `l`
 //! of [`crate::Lanes<Xoshiro256PlusPlus, L>`] at the same checkpoint — the
 //! two differ only in memory layout (tested below).
 
@@ -118,7 +121,12 @@ impl<const L: usize> BlockRng for SimdXoshiro256PP<L> {
         w
     }
 
-    #[inline]
+    // Never inlined: inside a large caller (a sketch driver with its block
+    // loops), LLVM may split the 8-lane state into 32 scalar registers and
+    // step each lane with scalar ops, ~5× slower per sample. Compiled on its
+    // own, the `step` loops stay vector ops in every crate that instantiates
+    // this; the call costs far less than one 8-word round.
+    #[inline(never)]
     fn fill_u64(&mut self, out: &mut [u64]) {
         let mut chunks = out.chunks_exact_mut(L);
         let mut block = [0u64; L];
