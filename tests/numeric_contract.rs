@@ -65,3 +65,15 @@ fn sketch_qr_and_sap_fingerprints_are_build_independent() {
     ];
     assert_eq!(got, want);
 }
+
+#[test]
+fn sap_shaped_qr_fingerprint_is_build_independent() {
+    // SAP's factor stage at γ = 2: the 600×300 sketch of a tall sparse
+    // operand. 300 is not a multiple of 8, 16 or 32, so a column-blocked
+    // factorization runs many full panels and ends on a ragged one.
+    let a = uniform_random::<f64>(3_000, 300, 0.01, 23);
+    let cfg = SketchConfig::new(600, 256, 64, 29);
+    let sampler = UnitUniform::<f64>::sampler(FastRng::new(cfg.seed));
+    let r = householder_qr_r(&sketch_alg3(&a, &cfg, &sampler));
+    assert_eq!(fnv1a(r.as_slice()), 0x2fb4_a818_e964_11ee);
+}
