@@ -6,8 +6,8 @@
 //! kernel libraries treat benchmark tracking as first-class infrastructure):
 //!
 //! * [`suite`] builds a fixed set of scenarios — Algorithm 3/4 sketches at
-//!   several shapes, an LSQR and an LSMR solve, and a SAP end-to-end run at
-//!   smoke scale.
+//!   several shapes, SAP-QR's Householder factor of a 2n×n sketch, an LSQR
+//!   and an LSMR solve, and a SAP end-to-end run at smoke scale.
 //! * [`run_suite`] times each scenario `reps` times with [`obskit::reset`]
 //!   between repetitions (so counters and spans describe exactly one
 //!   execution), snapshots the deterministic work counters, and summarizes
@@ -35,6 +35,7 @@ use crate::json::{parse, Jval};
 use crate::{fmt_s, ident, print_table};
 use datagen::lsq::{tall_conditioned, CondSpec};
 use datagen::make_rhs;
+use densekit::householder_qr_r;
 use lstsq::{
     lsmr, solve_lsqr_d, solve_sap, CscOp, LsmrOptions, LsqrOptions, SapFlavor, SapOptions,
 };
@@ -173,6 +174,26 @@ pub fn suite(scale: usize) -> Vec<Scenario> {
             run: Box::new(move || {
                 let s = UnitUniform::<f64>::sampler(FastRng::new(cfg.seed));
                 std::hint::black_box(sketch_alg4(&blocked, &cfg, &s));
+            }),
+        });
+    }
+
+    // SAP-QR's factor stage: Householder R of the tall operand's 2n×n
+    // sketch, sketched once here so the scenario times the factor alone.
+    {
+        let s = UnitUniform::<f64>::sampler(FastRng::new(cfg3.seed));
+        let ahat = sketch_alg3(&a_tall, &cfg3, &s);
+        out.push(Scenario {
+            name: "qr_factor",
+            kernel: "householder_qr_r",
+            shape: format!(
+                "{}×{} nnz {} (dense)",
+                ahat.nrows(),
+                ahat.ncols(),
+                ahat.as_slice().len()
+            ),
+            run: Box::new(move || {
+                std::hint::black_box(householder_qr_r(&ahat));
             }),
         });
     }

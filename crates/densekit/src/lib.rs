@@ -7,8 +7,9 @@
 //!   and column-major matches Algorithm 3's column-wise updates).
 //! * [`gemm`] — cache-blocked matrix-matrix multiply, used by the
 //!   materialized-`S` baselines and for verification.
-//! * [`qr`] — Householder QR; the R factor of the sketch is the
-//!   preconditioner in SAP-QR (paper §V-C1).
+//! * [`qr`] — blocked Householder QR, bit-identical to the column-at-a-time
+//!   loop; the R factor of the sketch is the preconditioner in SAP-QR
+//!   (paper §V-C1).
 //! * [`svd`] — Golub–Kahan–Reinsch SVD (bidiagonalization + implicit-shift
 //!   QR); `V·Σ⁻¹` from the sketch is the SAP-SVD preconditioner for
 //!   rank-deficient problems, with singular values below

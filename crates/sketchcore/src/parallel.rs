@@ -4,8 +4,10 @@
 //! are provided:
 //!
 //! * **Column panels** (`par_cols`): each worker owns a disjoint panel of
-//!   `b_n` columns of `Â` — expressible as safe disjoint `&mut` chunks of the
-//!   column-major buffer.
+//!   columns of `Â` — expressible as safe disjoint `&mut` chunks of the
+//!   column-major buffer. Algorithm 3's panels are at most `b_n` wide and
+//!   narrow to `⌈n/threads⌉` so that a matrix of at most `b_n` columns
+//!   still reaches every worker.
 //! * **Row stripes** (`par_rows`): each worker owns a `b_d`-row stripe of
 //!   `Â` across all columns. Stripes of a column-major matrix are not
 //!   contiguous, so this driver uses a raw-pointer window with a manual
@@ -35,16 +37,21 @@ use sparsekit::{BlockedCsr, CscMatrix, Scalar};
 use std::marker::PhantomData;
 
 /// Algorithm 3 parallelized over column panels of `Â` (the `j` loop).
+///
+/// Each worker takes panels of `min(b_n, ⌈n/threads⌉)` columns. The panel
+/// width does not change a bit of the result: every column's update is the
+/// same sequence of checkpoint seeks and axpys whichever panel holds it.
 pub fn sketch_alg3_par_cols<T, S>(a: &CscMatrix<T>, cfg: &SketchConfig, sampler: &S) -> Matrix<T>
 where
     T: Scalar,
     S: BlockSampler<T> + Clone + Send + Sync,
 {
     let _sp = obskit::span("sketch/alg3_par_cols");
-    let d = cfg.d;
-    let mut ahat = Matrix::zeros(d, a.ncols());
-    parkit::for_each_chunk_mut(ahat.as_mut_slice(), d * cfg.b_n, |p, chunk| {
-        let j0 = p * cfg.b_n;
+    let (d, n) = (cfg.d, a.ncols());
+    let width = cfg.b_n.min(n.div_ceil(parkit::current_threads())).max(1);
+    let mut ahat = Matrix::zeros(d, n);
+    parkit::for_each_chunk_mut(ahat.as_mut_slice(), d * width, |p, chunk| {
+        let j0 = p * width;
         let n1 = chunk.len() / d;
         let mut out = Panel::new(chunk, d, j0);
         let mut sampler = sampler.clone();
@@ -245,6 +252,19 @@ mod tests {
         let seq = sketch_alg3(&a, &cfg, &sampler);
         let par = sketch_alg3_par_cols(&a, &cfg, &sampler);
         assert_eq!(seq, par);
+    }
+
+    #[test]
+    fn par_cols_splits_one_b_n_panel_across_workers() {
+        // n ≤ b_n: one b_n panel would leave all but one worker idle.
+        let a = random_csc(50, 23, 200, 10);
+        let cfg = SketchConfig::new(30, 8, 64, 12);
+        let sampler = UnitUniform::<f64>::sampler(Rng::new(cfg.seed));
+        let seq = sketch_alg3(&a, &cfg, &sampler);
+        for t in 1..=5 {
+            let par = with_threads(t, || sketch_alg3_par_cols(&a, &cfg, &sampler));
+            assert_eq!(seq, par, "{t} threads");
+        }
     }
 
     #[test]
