@@ -3,8 +3,9 @@
 use crate::{fmt_g, fmt_s, gflops, print_table, time_median, RunConfig};
 use baselines::{csc_outer, eigen_style, materialize_s, mkl_style};
 use datagen::{abnormal_a, abnormal_b, abnormal_c, spmm_suite};
+use parkit::with_threads;
 use rngkit::{FastRng, Rademacher, UnitUniform};
-use sketchcore::parallel::{sketch_alg3_par_rows, sketch_alg4_par_rows, with_threads};
+use sketchcore::parallel::{sketch_alg3_par_rows, sketch_alg4_par_rows};
 use sketchcore::{
     sketch_alg3, sketch_alg3_instrumented, sketch_alg4, sketch_alg4_instrumented, SketchConfig,
 };
@@ -19,7 +20,7 @@ fn uni_sampler(seed: u64) -> rngkit::DistSampler<UnitUniform<f64>, Rng> {
 
 fn sign_sampler(seed: u64) -> rngkit::DistSampler<Rademacher<f64>, Rng> {
     // The fused ±1 path: each random bit flips the sign of A[j,k] with a
-    // bit-XOR — faster than materializing i8 signs (see `ablate_dtype`).
+    // bit-XOR — faster than materializing i8 signs.
     Rademacher::<f64>::sampler(Rng::new(seed))
 }
 

@@ -17,7 +17,6 @@
 //! * [`solve`] — triangular solves used when applying preconditioners.
 //! * [`cond`] — condition-number computation for the Table VIII properties.
 
-pub mod cholesky;
 pub mod cond;
 pub mod gemm;
 pub mod matrix;
@@ -25,11 +24,10 @@ pub mod qr;
 pub mod solve;
 pub mod svd;
 
-pub use cholesky::Cholesky;
 pub use cond::cond2;
 pub use matrix::{densify, Matrix};
 pub use qr::{householder_qr_r, HouseholderQr};
-pub use solve::{solve_lower, solve_lower_t, solve_upper, solve_upper_t};
+pub use solve::{solve_upper, solve_upper_t};
 pub use svd::{svd_values, ThinSvd};
 
 pub use sparsekit::Scalar;

@@ -46,50 +46,12 @@ pub fn solve_upper_t<T: Scalar>(u: &Matrix<T>, b: &mut [T]) {
     }
 }
 
-/// Solve `L·x = b` for lower-triangular `L`, in place.
-pub fn solve_lower<T: Scalar>(l: &Matrix<T>, b: &mut [T]) {
-    let n = l.ncols();
-    assert_eq!(l.nrows(), n, "L must be square");
-    assert_eq!(b.len(), n, "rhs length mismatch");
-    for j in 0..n {
-        let d = l[(j, j)];
-        assert!(d != T::ZERO, "singular triangular factor at {j}");
-        let xj = b[j] / d;
-        b[j] = xj;
-        let col = &l.col(j)[j + 1..];
-        for (bi, &lij) in b[j + 1..].iter_mut().zip(col.iter()) {
-            *bi = (-lij).mul_add(xj, *bi);
-        }
-    }
-}
-
-/// Solve `Lᵀ·x = b`, in place.
-pub fn solve_lower_t<T: Scalar>(l: &Matrix<T>, b: &mut [T]) {
-    let n = l.ncols();
-    assert_eq!(l.nrows(), n, "L must be square");
-    assert_eq!(b.len(), n, "rhs length mismatch");
-    for j in (0..n).rev() {
-        let col = &l.col(j)[j + 1..];
-        let mut acc = b[j];
-        for (&lij, &xi) in col.iter().zip(b[j + 1..].iter()) {
-            acc = (-lij).mul_add(xi, acc);
-        }
-        let d = l[(j, j)];
-        assert!(d != T::ZERO, "singular triangular factor at {j}");
-        b[j] = acc / d;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn upper3() -> Matrix<f64> {
         Matrix::from_row_major(3, 3, &[2.0, 1.0, -1.0, 0.0, 3.0, 2.0, 0.0, 0.0, 4.0])
-    }
-
-    fn lower3() -> Matrix<f64> {
-        upper3().transpose()
     }
 
     #[test]
@@ -118,31 +80,6 @@ mod tests {
     }
 
     #[test]
-    fn lower_solve_round_trip() {
-        let l = lower3();
-        let x_true = [2.0, 0.0, -3.0];
-        let mut b = [0.0; 3];
-        l.matvec(&x_true, &mut b);
-        solve_lower(&l, &mut b);
-        for (a, e) in b.iter().zip(x_true.iter()) {
-            assert!((a - e).abs() < 1e-14);
-        }
-    }
-
-    #[test]
-    fn lower_t_solve_round_trip() {
-        let l = lower3();
-        let lt = l.transpose();
-        let x_true = [1.0, 1.0, 1.0];
-        let mut b = [0.0; 3];
-        lt.matvec(&x_true, &mut b);
-        solve_lower_t(&l, &mut b);
-        for (a, e) in b.iter().zip(x_true.iter()) {
-            assert!((a - e).abs() < 1e-14);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "singular")]
     fn zero_diagonal_panics() {
         let mut u = upper3();
@@ -158,11 +95,7 @@ mod tests {
         let orig = b;
         solve_upper(&i, &mut b);
         assert_eq!(b, orig);
-        solve_lower(&i, &mut b);
-        assert_eq!(b, orig);
         solve_upper_t(&i, &mut b);
-        assert_eq!(b, orig);
-        solve_lower_t(&i, &mut b);
         assert_eq!(b, orig);
     }
 }

@@ -21,10 +21,8 @@
 pub mod error;
 pub mod lsmr;
 pub mod lsqr;
-pub mod lsrn;
 pub mod metrics;
 pub mod minnorm;
-pub mod normal;
 pub mod op;
 pub mod precond;
 pub mod sap;
@@ -33,11 +31,9 @@ pub mod sparse_qr;
 pub use error::SolveError;
 pub use lsmr::{lsmr, LsmrOptions, LsmrResult};
 pub use lsqr::{lsqr, LsqrOptions, LsqrResult, StopReason};
-pub use lsrn::{solve_lsrn, LsrnReport, LsrnSketch};
 pub use metrics::{backward_error, MemoryReport};
 pub use minnorm::{solve_min_norm_sap, MinNormReport};
-pub use normal::{solve_normal_equations, NormalEqReport};
-pub use op::{CsbOp, CscOp, LinOp, PrecondOp};
+pub use op::{CscOp, LinOp, PrecondOp};
 pub use precond::{DiagPrecond, IdentityPrecond, Preconditioner, SvdPrecond, UpperTriPrecond};
 pub use sap::{
     solve_lsqr_d, solve_sap, try_solve_sap, try_solve_sap_with, RecoveryPolicy, SapFlavor,

@@ -98,37 +98,6 @@ impl<A: LinOp, M: Preconditioner> LinOp for PrecondOp<'_, A, M> {
     }
 }
 
-/// A CSB matrix viewed as an operator: both `A·x` and `Aᵀ·x` parallelize
-/// (parkit over block-rows / block-columns), which accelerates LSQR's
-/// per-iteration cost on multicore hosts.
-pub struct CsbOp {
-    a: sparsekit::CsbMatrix<f64>,
-}
-
-impl CsbOp {
-    /// Convert a CSC matrix into the CSB operator with block edge `beta`.
-    pub fn from_csc(a: &CscMatrix<f64>, beta: usize) -> Self {
-        Self {
-            a: sparsekit::CsbMatrix::from_csc(a, beta),
-        }
-    }
-}
-
-impl LinOp for CsbOp {
-    fn nrows(&self) -> usize {
-        self.a.nrows()
-    }
-    fn ncols(&self) -> usize {
-        self.a.ncols()
-    }
-    fn apply(&mut self, x: &[f64], y: &mut [f64]) {
-        self.a.spmv_par(x, y);
-    }
-    fn apply_t(&mut self, x: &[f64], y: &mut [f64]) {
-        self.a.spmv_t_par(x, y);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

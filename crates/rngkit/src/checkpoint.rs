@@ -17,7 +17,7 @@
 //! bit-reproducibility independent of blocking is required.
 
 use crate::splitmix::{mix64, SplitMix64};
-use crate::{BlockRng, Xoshiro128PlusPlus, Xoshiro256PlusPlus};
+use crate::{BlockRng, Xoshiro256PlusPlus};
 
 /// Derive a 64-bit stream seed for checkpoint `(block_row, col)` under a
 /// master `seed`. Distinct coordinates map to distinct, well-mixed seeds.
@@ -53,13 +53,6 @@ impl Reseed for Xoshiro256PlusPlus {
         // Direct SplitMix64 expansion — same as `new`, inlined here to keep
         // the checkpoint path allocation- and branch-free.
         Xoshiro256PlusPlus::new(seed)
-    }
-}
-
-impl Reseed for Xoshiro128PlusPlus {
-    #[inline(always)]
-    fn reseed(seed: u64) -> Self {
-        Xoshiro128PlusPlus::new(seed)
     }
 }
 
@@ -105,8 +98,6 @@ macro_rules! impl_blockrng {
 }
 
 impl_blockrng!(Xoshiro256PlusPlus, |g: &mut Xoshiro256PlusPlus| g
-    .next_u64());
-impl_blockrng!(Xoshiro128PlusPlus, |g: &mut Xoshiro128PlusPlus| g
     .next_u64());
 impl_blockrng!(SplitMix64, |g: &mut SplitMix64| g.next_u64());
 
@@ -159,15 +150,6 @@ mod tests {
                 assert_ne!(s, checkpoint_seed(0, c, r).wrapping_add(u64::from(r == c)));
             }
         }
-    }
-
-    #[test]
-    fn works_with_xoshiro128() {
-        let mut g = CheckpointRng::<Xoshiro128PlusPlus>::new(3);
-        g.set_state(1, 1);
-        let a = g.next_u64();
-        g.set_state(1, 1);
-        assert_eq!(a, g.next_u64());
     }
 
     #[test]

@@ -16,9 +16,7 @@
 //!   instantiation reproduces the paper's 8-bit variant, and sign-bit fills
 //!   let kernels replace multiplies with add/subtract.
 //! * [`Gaussian`] — Box–Muller, the straightforward (and per Figure 4,
-//!   impractically slow) dense option. [`GaussianZiggurat`] is the fast
-//!   rejection method, included to quantify how much of the Gaussian penalty
-//!   is transform cost versus fundamental.
+//!   impractically slow) dense option.
 
 use crate::{u32_to_unit_f32, u64_to_open01_f64, u64_to_unit_f64, BlockRng};
 use std::f64::consts::PI;
@@ -401,112 +399,6 @@ impl Distribution<f32> for Gaussian<f32> {
     }
 }
 
-// ----------------------------------------------------------------------------
-// Ziggurat Gaussian
-// ----------------------------------------------------------------------------
-
-const ZIG_LAYERS: usize = 128;
-const ZIG_R: f64 = 3.442619855899;
-const ZIG_V: f64 = 9.91256303526217e-3;
-
-/// Precomputed ziggurat layer tables for the standard normal.
-struct ZigTables {
-    /// Layer x-coordinates, `x[0] = R .. x[128] = 0` style layout.
-    x: [f64; ZIG_LAYERS + 1],
-    /// Density at the layer x-coordinates.
-    y: [f64; ZIG_LAYERS + 1],
-}
-
-fn pdf(x: f64) -> f64 {
-    (-0.5 * x * x).exp()
-}
-
-fn zig_tables() -> &'static ZigTables {
-    use std::sync::OnceLock;
-    static TABLES: OnceLock<ZigTables> = OnceLock::new();
-    TABLES.get_or_init(|| {
-        let mut x = [0.0; ZIG_LAYERS + 1];
-        let mut y = [0.0; ZIG_LAYERS + 1];
-        // Layer 0 is the base strip: a rectangle of width V/f(R) whose
-        // left part [0, R] lies under the curve and whose overhang maps to
-        // the tail. Layers 1..127 are horizontal strips of equal area V.
-        x[0] = ZIG_V / pdf(ZIG_R);
-        y[0] = 0.0;
-        x[1] = ZIG_R;
-        y[1] = pdf(ZIG_R);
-        for i in 2..ZIG_LAYERS {
-            y[i] = y[i - 1] + ZIG_V / x[i - 1];
-            x[i] = (-2.0 * y[i].ln()).sqrt();
-        }
-        x[ZIG_LAYERS] = 0.0;
-        y[ZIG_LAYERS] = 1.0;
-        ZigTables { x, y }
-    })
-}
-
-/// Standard normal via the 128-layer ziggurat rejection method (Marsaglia &
-/// Tsang). ~99% of samples cost one table lookup, one compare and one
-/// multiply; included to separate "Gaussian transforms are slow" from
-/// "Box–Muller is slow" in the Figure 4 ablation.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct GaussianZiggurat;
-
-impl GaussianZiggurat {
-    /// Construct the distribution marker.
-    pub fn new() -> Self {
-        Self
-    }
-
-    #[inline]
-    fn sample<R: BlockRng>(rng: &mut R, t: &ZigTables) -> f64 {
-        loop {
-            let w = rng.next_u64();
-            let i = (w & 0x7F) as usize; // layer
-            let sign = if w & 0x80 == 0 { 1.0 } else { -1.0 };
-            let u = ((w >> 11) as f64) * (1.0 / (1u64 << 53) as f64);
-            let x = u * t.x[i];
-            if x < t.x[i + 1] {
-                return sign * x;
-            }
-            if i == 0 {
-                // Tail: Marsaglia's method for |x| > R.
-                loop {
-                    let u1 = u64_to_open01_f64(rng.next_u64());
-                    let u2 = u64_to_open01_f64(rng.next_u64());
-                    let xx = -u1.ln() / ZIG_R;
-                    let yy = -u2.ln();
-                    if yy + yy >= xx * xx {
-                        return sign * (ZIG_R + xx);
-                    }
-                }
-            }
-            // Wedge: accept with the exact density.
-            let u2 = u64_to_open01_f64(rng.next_u64());
-            if t.y[i] + u2 * (t.y[i + 1] - t.y[i]) < pdf(x) {
-                return sign * x;
-            }
-        }
-    }
-}
-
-impl Distribution<f64> for GaussianZiggurat {
-    #[inline]
-    fn fill<R: BlockRng>(&mut self, rng: &mut R, out: &mut [f64]) {
-        let t = zig_tables();
-        for o in out.iter_mut() {
-            *o = Self::sample(rng, t);
-        }
-    }
-
-    fn words_per_sample(&self) -> f64 {
-        1.03 // ~3% rejection overhead
-    }
-
-    fn name(&self) -> &'static str {
-        "gaussian (ziggurat) f64"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -616,33 +508,6 @@ mod tests {
         // Kurtosis ≈ 3 distinguishes normal from uniform.
         let kurt = v.iter().map(|x| x.powi(4)).sum::<f64>() / v.len() as f64 / (var * var);
         assert!((kurt - 3.0).abs() < 0.1, "kurtosis {kurt}");
-    }
-
-    #[test]
-    fn gaussian_ziggurat_moments() {
-        let mut d = GaussianZiggurat::new();
-        let mut r = rng();
-        let mut v = vec![0.0; 200_000];
-        d.fill(&mut r, &mut v);
-        let (mean, var) = moments(&v);
-        assert!(mean.abs() < 0.01, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.02, "var {var}");
-        let kurt = v.iter().map(|x| x.powi(4)).sum::<f64>() / v.len() as f64 / (var * var);
-        assert!((kurt - 3.0).abs() < 0.12, "kurtosis {kurt}");
-    }
-
-    #[test]
-    fn ziggurat_tail_produces_large_values() {
-        let mut d = GaussianZiggurat::new();
-        let mut r = rng();
-        let mut v = vec![0.0; 2_000_000];
-        d.fill(&mut r, &mut v);
-        let beyond = v.iter().filter(|&&x| x.abs() > ZIG_R).count();
-        // P(|Z| > 3.44) ≈ 5.8e-4 → expect ~1160 of 2M.
-        assert!(
-            (500..3000).contains(&beyond),
-            "tail count {beyond} inconsistent with N(0,1)"
-        );
     }
 
     #[test]

@@ -112,7 +112,6 @@ sampler_ctor!(UnitUniform);
 sampler_ctor!(Rademacher);
 sampler_ctor!(Gaussian);
 sampler_ctor!(unit ScaledInt);
-sampler_ctor!(unit GaussianZiggurat);
 
 #[cfg(test)]
 mod tests {

@@ -12,10 +12,10 @@
 //!
 //! Two generator families are provided, mirroring the paper:
 //!
-//! * [`Xoshiro256PlusPlus`] / [`Xoshiro128PlusPlus`] — XOR-shift based
-//!   generators (Blackman–Vigna). Fast, but sequential: O(1) seeking is
-//!   obtained by *re-deriving* a fresh state from `(seed, block_row, col)`
-//!   with a strong avalanche mix. This is the paper's "blocks as checkpoints"
+//! * [`Xoshiro256PlusPlus`] and its 8-lane struct-of-arrays form
+//!   [`SimdXoshiro256PP`] — XOR-shift based generators (Blackman–Vigna).
+//!   Fast, but sequential: O(1) seeking is obtained by *re-deriving* a
+//!   fresh state from `(seed, block_row, col)` with a strong avalanche mix. This is the paper's "blocks as checkpoints"
 //!   scheme: reproducibility of the sketch depends on the blocking.
 //! * [`Philox4x32`] — a counter-based RNG (Salmon et al., Random123). Entries
 //!   are a pure function of `(seed, row, col)`, so the sketch is reproducible
@@ -25,7 +25,7 @@
 //!
 //! On top of the raw generators sit the distribution fills of paper §III-C /
 //! Figure 4: uniform over (-1,1), Rademacher ±1 (including a bit-sliced sign
-//! mode), Gaussian (Box–Muller and Ziggurat), the "(-1,1) scaling trick"
+//! mode), Gaussian (Box–Muller), the "(-1,1) scaling trick"
 //! (raw integers + a deferred scale factor), and a deliberately trivial
 //! [`junk`] generator used to upper-bound kernel speed when RNG cost is
 //! removed (paper §V-A, final note).
@@ -53,22 +53,18 @@ pub mod checkpoint;
 pub mod dist;
 pub mod fill;
 pub mod junk;
-pub mod lanes;
 pub mod philox;
 pub mod simd;
 pub mod splitmix;
 pub mod stats;
-pub mod xoshiro128;
 pub mod xoshiro256;
 
 pub use checkpoint::CheckpointRng;
-pub use dist::{Gaussian, GaussianZiggurat, Rademacher, ScaledInt, UnitUniform};
+pub use dist::{Gaussian, Rademacher, ScaledInt, UnitUniform};
 pub use fill::{BlockSampler, DistSampler, SampleCost};
 pub use junk::JunkSampler;
-pub use lanes::Lanes;
 pub use philox::{Philox4x32, PhiloxSampler};
 pub use splitmix::SplitMix64;
-pub use xoshiro128::Xoshiro128PlusPlus;
 pub use xoshiro256::Xoshiro256PlusPlus;
 
 pub use simd::SimdXoshiro256PP;

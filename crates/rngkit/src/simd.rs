@@ -7,9 +7,9 @@
 //! AVX-512 Xeon these include the AVX-512VL rotate `vprolq` and, in the
 //! seek's SplitMix multiplies, AVX-512DQ `vpmullq`, but no zmm registers.
 //! That reproduces the throughput of the SIMD xoshiro the paper uses via
-//! Julia (§IV-A). Lane `l`'s stream is *bit-identical* to lane `l`
-//! of [`crate::Lanes<Xoshiro256PlusPlus, L>`] at the same checkpoint — the
-//! two differ only in memory layout (tested below).
+//! Julia (§IV-A). Lane `l`'s stream is *bit-identical* to a scalar
+//! [`crate::Xoshiro256PlusPlus`] seeded with that lane's sub-seed: the SoA
+//! layout changes only where the state lives (tested below).
 
 use crate::checkpoint::checkpoint_seed;
 use crate::splitmix::mix64;
@@ -48,10 +48,10 @@ impl<const L: usize> SimdXoshiro256PP<L> {
         g
     }
 
-    /// Reseed every lane from the `(block_row, col)` checkpoint. Matches
-    /// `Lanes<Xoshiro256PlusPlus, L>`: lane `l`'s sub-seed is
-    /// `mix64(base ^ l·LANE_SEP)` and the state words are the SplitMix64
-    /// expansion of that sub-seed.
+    /// Reseed every lane from the `(block_row, col)` checkpoint: lane `l`'s
+    /// sub-seed is `mix64(base ^ l·LANE_SEP)` and the state words are the
+    /// SplitMix64 expansion of that sub-seed, as in
+    /// `Xoshiro256PlusPlus::new`.
     #[inline]
     fn seek(&mut self, block_row: usize, col: usize) {
         let base = checkpoint_seed(self.seed, block_row, col);
@@ -145,21 +145,30 @@ impl<const L: usize> BlockRng for SimdXoshiro256PP<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lanes::Lanes;
     use crate::Xoshiro256PlusPlus;
 
+    /// Scalar reference: `L` independent xoshiro256++ generators seeded
+    /// `mix64(checkpoint_seed(..) ^ l·LANE_SEP)`, read round-robin.
+    fn scalar_lanes<const L: usize>(seed: u64, r: usize, c: usize, n: usize) -> Vec<u64> {
+        let base = checkpoint_seed(seed, r, c);
+        let mut lanes: [Xoshiro256PlusPlus; L] = std::array::from_fn(|l| {
+            Xoshiro256PlusPlus::new(mix64(base ^ (l as u64).wrapping_mul(LANE_SEP)))
+        });
+        (0..n).map(|i| lanes[i % L].next_u64()).collect()
+    }
+
     #[test]
-    fn matches_aos_lanes_bit_exactly() {
+    fn matches_scalar_lanes_bit_exactly() {
         let mut soa = SimdXoshiro256PP::<4>::new(99);
-        let mut aos = Lanes::<Xoshiro256PlusPlus, 4>::new(99);
         for &(r, c) in &[(0usize, 0usize), (3, 17), (120, 5)] {
             soa.set_state(r, c);
-            aos.set_state(r, c);
             let mut a = vec![0u64; 64];
-            let mut b = vec![0u64; 64];
             soa.fill_u64(&mut a);
-            aos.fill_u64(&mut b);
-            assert_eq!(a, b, "SoA and AoS lanes diverge at ({r},{c})");
+            assert_eq!(
+                a,
+                scalar_lanes::<4>(99, r, c, 64),
+                "SoA and scalar lanes diverge at ({r},{c})"
+            );
         }
     }
 

@@ -35,9 +35,6 @@
 //!   `fill_axpy` is a sign-select add, the Tables III/V split wraps a timer
 //!   around `set_state` + `fill`, and [`FaultSampler`] poisons the stream
 //!   for fault injection.
-//! * [`variants`] — all six `i/j/k` loop orderings of the toy kernel from
-//!   paper §II-B, kept as executable documentation of the design-space
-//!   argument (why `ikj`, `kij`, `ijk` and `jik` are ruled out).
 //! * [`parallel`] — parkit parallelizations of Algorithm 1's two outer loops
 //!   (paper §II-C): over column panels or over row stripes of `Â`.
 //! * [`multi`] — `k` seeds in one blocked pass over `A` (the serving
@@ -77,7 +74,6 @@ pub mod obs;
 pub mod parallel;
 pub mod pattern_model;
 pub mod robust;
-pub mod variants;
 
 pub use alg3::{sketch_alg3, sketch_alg3_signs};
 pub use alg4::{sketch_alg4, sketch_alg4_signs};

@@ -211,12 +211,6 @@ where
     ahat
 }
 
-/// Run `f` with the worker count capped at `threads` — the Table VII
-/// thread-sweep helper (delegates to [`parkit::with_threads`]).
-pub fn with_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
-    parkit::with_threads(threads, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,7 +256,7 @@ mod tests {
         let sampler = UnitUniform::<f64>::sampler(Rng::new(cfg.seed));
         let seq = sketch_alg3(&a, &cfg, &sampler);
         for t in 1..=5 {
-            let par = with_threads(t, || sketch_alg3_par_cols(&a, &cfg, &sampler));
+            let par = parkit::with_threads(t, || sketch_alg3_par_cols(&a, &cfg, &sampler));
             assert_eq!(seq, par, "{t} threads");
         }
     }
@@ -295,9 +289,9 @@ mod tests {
         let a = random_csc(40, 30, 200, 4);
         let cfg = SketchConfig::new(24, 6, 5, 9);
         let sampler = UnitUniform::<f64>::sampler(Rng::new(cfg.seed));
-        let base = with_threads(1, || sketch_alg3_par_rows(&a, &cfg, &sampler));
+        let base = parkit::with_threads(1, || sketch_alg3_par_rows(&a, &cfg, &sampler));
         for t in [2, 4] {
-            let out = with_threads(t, || sketch_alg3_par_rows(&a, &cfg, &sampler));
+            let out = parkit::with_threads(t, || sketch_alg3_par_rows(&a, &cfg, &sampler));
             assert_eq!(base, out, "thread count {t} changed the sketch");
         }
     }

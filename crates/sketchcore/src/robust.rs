@@ -48,13 +48,13 @@ pub const DEFAULT_MEM_BUDGET: u64 = 12 * (1 << 30);
 /// Parse a byte size with an optional `K`/`M`/`G` suffix (powers of 1024).
 fn parse_bytes(s: &str) -> Option<u64> {
     let s = s.trim();
-    let (num, shift) = match s.as_bytes().last()? {
-        b'K' | b'k' => (&s[..s.len() - 1], 10),
-        b'M' | b'm' => (&s[..s.len() - 1], 20),
-        b'G' | b'g' => (&s[..s.len() - 1], 30),
-        _ => (s, 0),
+    let (num, unit) = match s.as_bytes().last()? {
+        b'K' | b'k' => (&s[..s.len() - 1], 1 << 10),
+        b'M' | b'm' => (&s[..s.len() - 1], 1 << 20),
+        b'G' | b'g' => (&s[..s.len() - 1], 1 << 30),
+        _ => (s, 1),
     };
-    num.trim().parse::<u64>().ok().map(|v| v << shift)
+    num.trim().parse::<u64>().ok()?.checked_mul(unit)
 }
 
 /// The active memory budget in bytes (`SKETCH_MEM_BUDGET`, else 12 GiB).
@@ -343,5 +343,8 @@ mod tests {
         assert_eq!(parse_bytes("3g"), Some(3u64 << 30));
         assert_eq!(parse_bytes("nope"), None);
         assert_eq!(parse_bytes(""), None);
+        // 2^34 GiB = 2^64 bytes: overflow is malformed, not a 0-byte budget.
+        assert_eq!(parse_bytes("17179869184G"), None);
+        assert_eq!(parse_bytes("17179869183G"), Some(17179869183u64 << 30));
     }
 }

@@ -15,8 +15,8 @@
 //!   validation, slicing, transposition and reference SpMV/SpMM.
 //! * [`BlockedCsr`] — Algorithm 4's structure, with sequential and parallel
 //!   (parkit) construction from CSC; construction cost matches the paper's
-//!   `O(⌈n/b_n⌉·m + nnz(A))` analysis and is measured in the Table IV/VI
-//!   benches.
+//!   `O(⌈n/b_n⌉·m + nnz(A))` analysis and is measured by `repro table4`
+//!   and `repro table6`.
 //! * [`io`] — Matrix Market exchange format reader/writer, so the real
 //!   SuiteSparse matrices can be dropped into the harness when available.
 //! * [`spy`] — sparsity-pattern rendering (Figure 5).
@@ -24,11 +24,9 @@
 pub mod blocked;
 pub mod coo;
 pub mod corrupt;
-pub mod csb;
 pub mod csc;
 pub mod csr;
 pub mod io;
-pub mod order;
 pub mod scalar;
 pub mod spy;
 pub mod stats;
@@ -36,7 +34,6 @@ pub(crate) mod validate;
 
 pub use blocked::BlockedCsr;
 pub use coo::CooMatrix;
-pub use csb::CsbMatrix;
 pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use scalar::Scalar;

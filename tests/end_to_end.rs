@@ -7,10 +7,10 @@ use datagen::{abnormal_a, abnormal_c, make_rhs, spmm_suite, uniform_random};
 use lstsq::{
     backward_error, solve_lsqr_d, solve_sap, sparse_qr_solve, LsqrOptions, SapFlavor, SapOptions,
 };
+use parkit::with_threads;
 use rngkit::{FastRng, Rademacher, UnitUniform};
 use sketchcore::parallel::{
     sketch_alg3_par_cols, sketch_alg3_par_rows, sketch_alg4_par_cols, sketch_alg4_par_rows,
-    with_threads,
 };
 use sketchcore::{sketch_alg3, sketch_alg4, SketchConfig};
 use sparsekit::BlockedCsr;
@@ -220,24 +220,4 @@ fn rademacher_sketch_preserves_energy() {
     // E‖Â‖_F² = d·‖A‖_F² for ±1 entries.
     let ratio = sk.fro_norm().powi(2) / (cfg.d as f64 * a.fro_norm().powi(2));
     assert!((0.9..1.1).contains(&ratio), "energy ratio {ratio}");
-}
-
-#[test]
-fn lsqr_over_csb_operator_matches_csc() {
-    use lstsq::{lsqr, CsbOp, CscOp, LinOp, LsqrOptions};
-    let a = tall_conditioned(2_000, 64, 0.02, CondSpec::chain(1.5), 8);
-    let (b, _) = make_rhs(&a, 4);
-    let mut csc_op = CscOp::new(&a);
-    let r1 = lsqr(&mut csc_op, &b, &LsqrOptions::default());
-    let mut csb_op = CsbOp::from_csc(&a, 512);
-    assert_eq!(csb_op.nrows(), a.nrows());
-    let r2 = lsqr(&mut csb_op, &b, &LsqrOptions::default());
-    let scale: f64 = r1.x.iter().map(|v| v * v).sum::<f64>().sqrt();
-    let diff: f64 =
-        r1.x.iter()
-            .zip(r2.x.iter())
-            .map(|(p, q)| (p - q) * (p - q))
-            .sum::<f64>()
-            .sqrt();
-    assert!(diff < 1e-9 * scale, "CSB-backed LSQR diverged by {diff}");
 }

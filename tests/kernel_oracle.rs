@@ -19,11 +19,12 @@
 //! `n = 1`, empty columns, and ragged last blocks in both dimensions.
 
 use densekit::Matrix;
+use parkit::with_threads;
 use rngkit::{
     BlockSampler, CheckpointRng, DistSampler, FastRng, PhiloxSampler, Rademacher, ScaledInt,
     UnitUniform, Xoshiro256PlusPlus,
 };
-use sketchcore::parallel::{sketch_alg4_par_cols, with_threads};
+use sketchcore::parallel::sketch_alg4_par_cols;
 use sketchcore::{
     sketch_alg3, sketch_alg3_instrumented, sketch_alg3_multi, sketch_alg3_par_cols,
     sketch_alg3_par_rows, sketch_alg3_signs, sketch_alg4, sketch_alg4_instrumented,
