@@ -377,8 +377,9 @@ mod tests {
         let a = datagen::uniform_random::<f64>(60, 10, 0.2, 1);
         let g = gram(&a);
         let dense = Matrix::from_fn(60, 10, |i, j| a.get(i, j));
-        let mut expect = Matrix::zeros(10, 10);
-        densekit::gemm::gemm(&dense.transpose(), &dense, &mut expect);
+        let expect = Matrix::from_fn(10, 10, |i, j| {
+            (0..60).map(|k| dense[(k, i)] * dense[(k, j)]).sum::<f64>()
+        });
         assert!(g.diff_norm(&expect) < 1e-11 * expect.fro_norm().max(1.0));
     }
 

@@ -5,8 +5,6 @@
 //!
 //! * [`Matrix`] — column-major dense storage (the sketch `Â = S·A` is dense,
 //!   and column-major matches Algorithm 3's column-wise updates).
-//! * [`gemm`] — cache-blocked matrix-matrix multiply, used by the
-//!   materialized-`S` baselines and for verification.
 //! * [`qr`] — blocked Householder QR, bit-identical to the column-at-a-time
 //!   loop; the R factor of the sketch is the preconditioner in SAP-QR
 //!   (paper §V-C1).
@@ -18,7 +16,6 @@
 //! * [`cond`] — condition-number computation for the Table VIII properties.
 
 pub mod cond;
-pub mod gemm;
 pub mod matrix;
 pub mod qr;
 pub mod solve;

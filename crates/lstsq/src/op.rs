@@ -55,13 +55,13 @@ impl LinOp for CscOp<'_> {
 ///
 /// The preconditioner may reduce the dimension (SAP-SVD with dropped
 /// singular values maps `R^r → R^n`), so `ncols` is `M`'s input dimension.
-pub struct PrecondOp<'a, A, M> {
+pub struct PrecondOp<'a, A, M: ?Sized> {
     a: &'a mut A,
     m: &'a M,
     scratch: Vec<f64>,
 }
 
-impl<'a, A: LinOp, M: Preconditioner> PrecondOp<'a, A, M> {
+impl<'a, A: LinOp, M: Preconditioner + ?Sized> PrecondOp<'a, A, M> {
     /// Compose `a` with right preconditioner `m`.
     pub fn new(a: &'a mut A, m: &'a M) -> Self {
         let n = a.ncols();
@@ -78,7 +78,7 @@ impl<'a, A: LinOp, M: Preconditioner> PrecondOp<'a, A, M> {
     }
 }
 
-impl<A: LinOp, M: Preconditioner> LinOp for PrecondOp<'_, A, M> {
+impl<A: LinOp, M: Preconditioner + ?Sized> LinOp for PrecondOp<'_, A, M> {
     fn nrows(&self) -> usize {
         self.a.nrows()
     }

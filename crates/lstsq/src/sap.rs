@@ -270,7 +270,7 @@ fn sap_pass(
         },
     };
     let mut aop = CscOp::new(a);
-    let mut pop = BoxedPrecondOp::new(&mut aop, precond.as_ref());
+    let mut pop = PrecondOp::new(&mut aop, precond.as_ref());
     let result = {
         let _sp = obskit::span("lstsq/sap/solve");
         lsqr(&mut pop, b, &lsqr_opts)
@@ -403,42 +403,6 @@ pub fn try_solve_sap_with(
             last: Box::new(last),
         }),
         None => unreachable!("attempts >= 1, so the loop ran at least once"),
-    }
-}
-
-/// `PrecondOp` over a trait object (the flavours return different types).
-struct BoxedPrecondOp<'a> {
-    a: &'a mut CscOp<'a>,
-    m: &'a dyn Preconditioner,
-    scratch: Vec<f64>,
-}
-
-impl<'a> BoxedPrecondOp<'a> {
-    fn new(a: &'a mut CscOp<'a>, m: &'a dyn Preconditioner) -> Self {
-        let n = crate::op::LinOp::ncols(a);
-        assert_eq!(m.output_dim(), n);
-        Self {
-            a,
-            m,
-            scratch: vec![0.0; n],
-        }
-    }
-}
-
-impl crate::op::LinOp for BoxedPrecondOp<'_> {
-    fn nrows(&self) -> usize {
-        crate::op::LinOp::nrows(self.a)
-    }
-    fn ncols(&self) -> usize {
-        self.m.input_dim()
-    }
-    fn apply(&mut self, x: &[f64], y: &mut [f64]) {
-        self.m.apply(x, &mut self.scratch);
-        crate::op::LinOp::apply(self.a, &self.scratch, y);
-    }
-    fn apply_t(&mut self, x: &[f64], y: &mut [f64]) {
-        crate::op::LinOp::apply_t(self.a, x, &mut self.scratch);
-        self.m.apply_t(&self.scratch, y);
     }
 }
 

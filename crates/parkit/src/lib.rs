@@ -1,22 +1,28 @@
 #![warn(missing_docs)]
 //! # parkit — std-only fork/join parallelism
 //!
-//! A deliberately small replacement for the rayon patterns the kernels used
-//! (`par_chunks_mut`, `into_par_iter().for_each`, indexed `map`+`collect`,
-//! scoped thread pools), built on `std::thread::scope` and an atomic work
-//! index so it needs no external dependencies and builds fully offline.
+//! One private worker loop, `run`, on scoped threads and an atomic claim
+//! index, so it needs no external dependencies and builds fully offline.
+//! Each worker repeatedly `fetch_add`s the shared index and runs the
+//! item it claimed, so every index in `0..n` runs exactly once and uneven
+//! items (sparse blocks with skewed nonzero counts) still balance. The three
+//! public primitives are short adapters over it:
 //!
-//! Work items are claimed dynamically: each worker repeatedly
-//! `fetch_add`s a shared index, so uneven items (sparse blocks with skewed
-//! nonzero counts) still balance. The thread count comes from, in order:
-//! a [`with_threads`] override on the calling thread, the `SKETCH_THREADS`
-//! or `RAYON_NUM_THREADS` environment variables, then
-//! `available_parallelism`.
+//! * [`for_each_chunk_mut`] — disjoint `&mut` chunks of a slice (column
+//!   panels of `Â`);
+//! * [`for_each`] — owned items (row stripes, sketchd's worker loops);
+//! * [`map_collect`] — an indexed map that keeps order.
 //!
-//! Every worker closure ends with [`obskit::flush_thread`], so per-thread
-//! telemetry accumulated inside parallel regions is merged into the global
-//! registry exactly at the join point — the caller sees a consistent
-//! snapshot as soon as any parkit call returns.
+//! The thread count comes from, in order: a [`with_threads`] override on the
+//! calling thread, the `SKETCH_THREADS` environment variable, then
+//! `available_parallelism`. A call with `n` items starts `min(threads, n)`
+//! workers, so under `with_threads(n, ..)`, `n` items that each run until
+//! shutdown (sketchd's worker loops) all run at once.
+//!
+//! Every worker ends with [`obskit::flush_thread`], so per-thread telemetry
+//! accumulated inside parallel regions is merged into the global registry
+//! exactly at the join point — the caller sees a consistent snapshot as soon
+//! as any parkit call returns.
 //!
 //! ## Panic behaviour
 //!
@@ -29,8 +35,9 @@
 //! typed error instead of a panic wrap the parkit call in their own
 //! `catch_unwind` (see sketchcore's hardened drivers).
 //!
-//! For fault-injection testing, every work item claim passes the
-//! `parkit/worker` faultkit site: arming it (e.g.
+//! For fault-injection testing, every claimed item passes the
+//! `parkit/worker` faultkit site once, before it runs, on the sequential and
+//! the threaded path alike: arming it (e.g.
 //! `SKETCH_FAULTS=parkit/worker=once`) panics a worker at claim time,
 //! before any span opens, exercising exactly this recovery path.
 
@@ -38,50 +45,17 @@ use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// First panic payload captured across a scope's workers.
-type PanicSlot = Mutex<Option<Box<dyn Any + Send>>>;
-
-/// Deterministic injected fault: panic a worker at item-claim time.
-#[inline]
-fn maybe_inject_worker_fault() {
-    if faultkit::fire("parkit/worker") {
-        panic!("faultkit: injected parkit/worker panic");
-    }
-}
-
-/// Stash `payload` if it is the first one; later panics are dropped (the
-/// caller can only re-raise one).
-fn stash_panic(slot: &PanicSlot, payload: Box<dyn Any + Send>) {
-    let mut guard = slot.lock().unwrap_or_else(|e| e.into_inner());
-    if guard.is_none() {
-        *guard = Some(payload);
-    }
-}
-
-/// Re-raise the stashed payload, if any, on the calling thread.
-fn rethrow(slot: PanicSlot) {
-    if let Some(p) = slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        resume_unwind(p);
-    }
-}
+use std::sync::{Mutex, MutexGuard};
 
 thread_local! {
     static OVERRIDE: Cell<usize> = const { Cell::new(0) };
 }
 
 fn env_threads() -> usize {
-    for var in ["SKETCH_THREADS", "RAYON_NUM_THREADS"] {
-        if let Ok(v) = std::env::var(var) {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-    }
-    0
+    std::env::var("SKETCH_THREADS")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or(0)
 }
 
 /// The worker count parallel calls on this thread will use.
@@ -100,66 +74,54 @@ pub fn current_threads() -> usize {
 }
 
 /// Run `f` with parallel calls on this thread capped at `threads` workers —
-/// the Table VII thread-sweep helper (rayon's `install` equivalent).
+/// the Table VII thread-sweep helper. The previous cap is restored when `f`
+/// returns or unwinds.
 pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
-    let prev = OVERRIDE.with(|c| c.replace(threads.max(1)));
-    let r = f();
-    OVERRIDE.with(|c| c.set(prev));
-    r
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            OVERRIDE.with(|c| c.set(self.0));
+        }
+    }
+    let _restore = Restore(OVERRIDE.with(|c| c.replace(threads.max(1))));
+    f()
 }
 
-/// Run `f(index, chunk)` for every `chunk_len`-sized chunk of `slice`
-/// (last chunk may be shorter), in parallel. Chunks are disjoint `&mut`
-/// windows, claimed dynamically by an atomic index.
-pub fn for_each_chunk_mut<T, F>(slice: &mut [T], chunk_len: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let len = slice.len();
-    if len == 0 {
-        return;
-    }
-    let chunk_len = chunk_len.max(1);
-    let nchunks = len.div_ceil(chunk_len);
-    let threads = current_threads().min(nchunks);
-    if threads <= 1 {
-        for (i, c) in slice.chunks_mut(chunk_len).enumerate() {
-            maybe_inject_worker_fault();
-            f(i, c);
+/// Lock `m`, ignoring poisoning: no adapter holds a lock while user code runs.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The worker loop: run `f(i)` once for every `i` in `0..n`, each index
+/// claimed by one of `min(current_threads(), n)` workers.
+fn run<F: Fn(usize) + Sync>(n: usize, f: F) {
+    let claim = |i| {
+        if faultkit::fire("parkit/worker") {
+            panic!("faultkit: injected parkit/worker panic");
         }
+        f(i);
+    };
+    let threads = current_threads().min(n);
+    if threads <= 1 {
+        (0..n).for_each(claim);
         return;
     }
-    let base = SendPtr(slice.as_mut_ptr());
     let next = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
-    let panic_slot: PanicSlot = Mutex::new(None);
+    let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
     std::thread::scope(|s| {
         for _ in 0..threads {
             s.spawn(|| {
-                loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
+                while !abort.load(Ordering::Relaxed) {
                     let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= nchunks {
+                    if i >= n {
                         break;
                     }
-                    let start = i * chunk_len;
-                    let n = chunk_len.min(len - start);
-                    // SAFETY: chunk `i` covers `[start, start+n)`; distinct
-                    // `i` give disjoint ranges inside the borrowed slice, and
-                    // the scope keeps the parent borrow alive past the join.
-                    let c = unsafe { std::slice::from_raw_parts_mut(base.get().add(start), n) };
                     // AssertUnwindSafe: on panic the payload is re-raised on
-                    // the caller, which then cannot observe the half-written
-                    // chunk — same exposure as the pre-hardening abort path.
-                    if let Err(p) = catch_unwind(AssertUnwindSafe(|| {
-                        maybe_inject_worker_fault();
-                        f(i, c);
-                    })) {
+                    // the caller, which then cannot observe half-done items.
+                    if let Err(p) = catch_unwind(AssertUnwindSafe(|| claim(i))) {
                         abort.store(true, Ordering::Relaxed);
-                        stash_panic(&panic_slot, p);
+                        lock(&first_panic).get_or_insert(p);
                         break;
                     }
                 }
@@ -167,7 +129,20 @@ where
             });
         }
     });
-    rethrow(panic_slot);
+    if let Some(p) = first_panic.into_inner().unwrap_or_else(|e| e.into_inner()) {
+        resume_unwind(p);
+    }
+}
+
+/// Run `f(index, chunk)` for every `chunk_len`-sized chunk of `slice`
+/// (last chunk may be shorter), in parallel.
+pub fn for_each_chunk_mut<T, F>(slice: &mut [T], chunk_len: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    let chunks = slice.chunks_mut(chunk_len.max(1)).enumerate().collect();
+    for_each(chunks, |(i, c)| f(i, c));
 }
 
 /// Consume `items`, running `f` on each in parallel (order unspecified).
@@ -176,46 +151,13 @@ where
     I: Send,
     F: Fn(I) + Sync,
 {
-    let n = items.len();
-    if n == 0 {
-        return;
-    }
-    let threads = current_threads().min(n);
-    if threads <= 1 {
-        for it in items {
-            maybe_inject_worker_fault();
+    let slots: Vec<Mutex<Option<I>>> = items.into_iter().map(|it| Mutex::new(Some(it))).collect();
+    run(slots.len(), |i| {
+        // `run` claims each index once, so the slot is always full here.
+        if let Some(it) = lock(&slots[i]).take() {
             f(it);
         }
-        return;
-    }
-    // Static round-robin partition: one owned bin per worker, no unsafe.
-    let mut bins: Vec<Vec<I>> = (0..threads).map(|_| Vec::new()).collect();
-    for (i, it) in items.into_iter().enumerate() {
-        bins[i % threads].push(it);
-    }
-    let abort = AtomicBool::new(false);
-    let panic_slot: PanicSlot = Mutex::new(None);
-    std::thread::scope(|s| {
-        for bin in bins {
-            s.spawn(|| {
-                for it in bin {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    if let Err(p) = catch_unwind(AssertUnwindSafe(|| {
-                        maybe_inject_worker_fault();
-                        f(it);
-                    })) {
-                        abort.store(true, Ordering::Relaxed);
-                        stash_panic(&panic_slot, p);
-                        break;
-                    }
-                }
-                obskit::flush_thread();
-            });
-        }
     });
-    rethrow(panic_slot);
 }
 
 /// Parallel indexed map: `(0..n).map(f).collect()`, preserving order.
@@ -224,116 +166,23 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = current_threads().min(n);
-    if threads <= 1 {
-        return (0..n)
-            .map(|i| {
-                maybe_inject_worker_fault();
-                f(i)
-            })
-            .collect();
-    }
-    let mut out: Vec<Option<R>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
-    let base = SendPtr(out.as_mut_ptr());
-    let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let panic_slot: PanicSlot = Mutex::new(None);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        maybe_inject_worker_fault();
-                        f(i)
-                    })) {
-                        // SAFETY: slot `i` is written by exactly one worker
-                        // (the atomic index hands each `i` out once) and the
-                        // scope outlives all writes.
-                        Ok(r) => unsafe { *base.get().add(i) = Some(r) },
-                        Err(p) => {
-                            abort.store(true, Ordering::Relaxed);
-                            stash_panic(&panic_slot, p);
-                            break;
-                        }
-                    }
-                }
-                obskit::flush_thread();
-            });
-        }
+    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    run(n, |i| {
+        let r = f(i);
+        *lock(&slots[i]) = Some(r);
     });
-    rethrow(panic_slot);
-    out.into_iter()
-        .map(|r| match r {
-            Some(v) => v,
-            // rethrow() above re-raises if any worker panicked; a surviving
-            // empty slot would mean the atomic index skipped it.
-            None => unreachable!("map_collect slot unfilled after panic-free run"),
-        })
+    let out = slots
+        .into_iter()
+        .map(|s| s.into_inner().unwrap_or_else(|e| e.into_inner()));
+    // `run` re-raises any worker panic, so every slot is full here.
+    out.map(|r| r.unwrap_or_else(|| unreachable!("map_collect slot unfilled")))
         .collect()
-}
-
-/// Run two closures in parallel and return both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if current_threads() <= 1 {
-        return (a(), b());
-    }
-    std::thread::scope(|s| {
-        let hb = s.spawn(|| {
-            let r = catch_unwind(AssertUnwindSafe(b));
-            obskit::flush_thread();
-            r
-        });
-        // Run `a` caught as well so the spawned side is always joined before
-        // any unwind leaves this frame.
-        let ra = catch_unwind(AssertUnwindSafe(a));
-        let rb = match hb.join() {
-            Ok(r) => r,
-            // The worker closure is fully caught; a join error means the
-            // panic happened inside obskit::flush_thread itself.
-            Err(p) => Err(p),
-        };
-        match (ra, rb) {
-            (Ok(ra), Ok(rb)) => (ra, rb),
-            // Propagate the first panic with its original payload.
-            (Err(p), _) => resume_unwind(p),
-            (_, Err(p)) => resume_unwind(p),
-        }
-    })
-}
-
-/// A raw pointer that may cross thread boundaries; every use carries its own
-/// disjointness argument at the call site. Accessed via [`SendPtr::get`] so
-/// closures capture the (Sync) wrapper, not the raw pointer field.
-struct SendPtr<T>(*mut T);
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-unsafe impl<T: Send> Send for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    fn get(&self) -> *mut T {
-        self.0
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn chunks_cover_slice_once() {
@@ -389,22 +238,22 @@ mod tests {
     }
 
     #[test]
+    fn with_threads_restores_after_panic() {
+        with_threads(2, || {
+            let caught = std::panic::catch_unwind(|| with_threads(5, || panic!("inside")));
+            assert!(caught.is_err());
+            assert_eq!(current_threads(), 2);
+        });
+    }
+
+    #[test]
     fn single_thread_paths_work() {
         with_threads(1, || {
             let mut v = vec![0; 10];
             for_each_chunk_mut(&mut v, 3, |_, c| c.fill(9));
             assert!(v.iter().all(|&x| x == 9));
             assert_eq!(map_collect(4, |i| i), vec![0, 1, 2, 3]);
-            let (a, b) = join(|| 1, || 2);
-            assert_eq!((a, b), (1, 2));
         });
-    }
-
-    #[test]
-    fn join_runs_both() {
-        let (a, b) = join(|| 40 + 1, || "two");
-        assert_eq!(a, 41);
-        assert_eq!(b, "two");
     }
 
     #[test]
@@ -450,21 +299,88 @@ mod tests {
             let p = caught.expect_err("panic must propagate");
             assert_eq!(*p.downcast_ref::<&str>().unwrap(), "item payload");
         }
+    }
 
-        // join: either side's payload survives.
-        let caught = std::panic::catch_unwind(|| {
-            with_threads(2, || join(|| 1, || std::panic::panic_any("side b")))
+    /// Every primitive, at every thread count and size: each index runs
+    /// exactly once, `map_collect` keeps order, and a panic at any index
+    /// reaches the caller with its own payload.
+    #[test]
+    fn every_primitive_runs_each_index_once_and_rethrows() {
+        type Primitive = fn(usize, &(dyn Fn(usize) + Sync));
+        let primitives: [(&str, Primitive); 3] = [
+            ("for_each_chunk_mut", |n, g| {
+                let mut v = vec![0u8; n];
+                for_each_chunk_mut(&mut v, 1, |i, _| g(i));
+            }),
+            ("for_each", |n, g| for_each((0..n).collect(), g)),
+            ("map_collect", |n, g| {
+                let out = map_collect(n, |i| {
+                    g(i);
+                    i
+                });
+                assert_eq!(out, (0..n).collect::<Vec<_>>(), "map_collect order");
+            }),
+        ];
+        for threads in [1usize, 2, 3, 5] {
+            for n in [0usize, 1, 2, 7, 64] {
+                for (name, prim) in primitives {
+                    let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                    with_threads(threads, || {
+                        prim(n, &|i| {
+                            runs[i].fetch_add(1, Ordering::Relaxed);
+                        })
+                    });
+                    for (i, r) in runs.iter().enumerate() {
+                        let r = r.load(Ordering::Relaxed);
+                        assert_eq!(
+                            r, 1,
+                            "{name}: index {i} ran {r}x ({threads} threads, n {n})"
+                        );
+                    }
+                    for bad in 0..n {
+                        let caught = std::panic::catch_unwind(|| {
+                            with_threads(threads, || {
+                                prim(n, &|i| {
+                                    if i == bad {
+                                        std::panic::panic_any(i);
+                                    }
+                                })
+                            })
+                        });
+                        let p = caught.expect_err("panic must propagate");
+                        assert_eq!(
+                            p.downcast_ref::<usize>(),
+                            Some(&bad),
+                            "{name}: payload ({threads} threads, n {n})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// sketchd runs `with_threads(n, || for_each(n loops, worker_loop))` and
+    /// relies on every loop holding its own thread at the same time.
+    #[test]
+    fn for_each_runs_every_item_at_once() {
+        let arrived = AtomicUsize::new(0);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let all_met = AtomicUsize::new(0);
+        with_threads(4, || {
+            for_each((0..4).collect(), |_: usize| {
+                arrived.fetch_add(1, Ordering::SeqCst);
+                while arrived.load(Ordering::SeqCst) < 4 && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                if arrived.load(Ordering::SeqCst) == 4 {
+                    all_met.fetch_add(1, Ordering::SeqCst);
+                }
+            })
         });
         assert_eq!(
-            *caught.unwrap_err().downcast_ref::<&str>().unwrap(),
-            "side b"
-        );
-        let caught = std::panic::catch_unwind(|| {
-            with_threads(2, || join(|| std::panic::panic_any("side a"), || 2))
-        });
-        assert_eq!(
-            *caught.unwrap_err().downcast_ref::<&str>().unwrap(),
-            "side a"
+            all_met.load(Ordering::SeqCst),
+            4,
+            "items did not run at once"
         );
     }
 

@@ -1,17 +1,18 @@
 //! Parallel drivers — parkit parallelization of Algorithm 1's outer loops.
 //!
-//! The paper (§II-C) parallelizes either of the two outer loops; both options
-//! are provided:
+//! The paper (§II-C) parallelizes either of the two outer loops. Algorithm 3
+//! has both; Algorithm 4 has the row stripes Table VII times:
 //!
-//! * **Column panels** (`par_cols`): each worker owns a disjoint panel of
-//!   columns of `Â` — expressible as safe disjoint `&mut` chunks of the
-//!   column-major buffer. Algorithm 3's panels are at most `b_n` wide and
-//!   narrow to `⌈n/threads⌉` so that a matrix of at most `b_n` columns
-//!   still reaches every worker.
-//! * **Row stripes** (`par_rows`): each worker owns a `b_d`-row stripe of
-//!   `Â` across all columns. Stripes of a column-major matrix are not
-//!   contiguous, so this driver uses a raw-pointer window with a manual
-//!   disjointness argument (see `StripeWriter`).
+//! * **Column panels** (`sketch_alg3_par_cols`): each worker owns a disjoint
+//!   panel of columns of `Â` — expressible as safe disjoint `&mut` chunks of
+//!   the column-major buffer. The panels are at most `b_n` wide and narrow
+//!   to `⌈n/threads⌉` so that a matrix of at most `b_n` columns still
+//!   reaches every worker.
+//! * **Row stripes** (`sketch_alg3_par_rows`, `sketch_alg4_par_rows`): each
+//!   worker owns a `b_d`-row stripe of `Â` across all columns. Stripes of a
+//!   column-major matrix are not contiguous, so these drivers use a
+//!   raw-pointer window with a manual disjointness argument (see
+//!   `StripeWriter`).
 //!
 //! Every driver runs the same block kernels as the sequential ones
 //! ([`crate::alg3`]'s and [`crate::alg4`]'s `block`), writing through a
@@ -182,35 +183,6 @@ where
     ahat
 }
 
-/// Algorithm 4 parallelized over vertical blocks (column panels).
-pub fn sketch_alg4_par_cols<T, S>(a: &BlockedCsr<T>, cfg: &SketchConfig, sampler: &S) -> Matrix<T>
-where
-    T: Scalar,
-    S: BlockSampler<T> + Clone + Send + Sync,
-{
-    let _sp = obskit::span("sketch/alg4_par_cols");
-    let d = cfg.d;
-    let mut ahat = Matrix::zeros(d, a.ncols());
-    parkit::for_each_chunk_mut(ahat.as_mut_slice(), d * a.block_width(), |blk, chunk| {
-        let csr = a.block(blk);
-        let j0 = a.block_col_offset(blk);
-        let mut out = Panel::new(chunk, d, j0);
-        let mut sampler = sampler.clone();
-        let mut v = vec![T::ZERO; cfg.b_d.min(d)];
-        for b in alg1::panel(cfg, j0, csr.ncols()) {
-            alg4::block(
-                &mut out,
-                csr,
-                b,
-                &mut sampler,
-                &mut v,
-                "sketch/alg4_par_cols/block",
-            );
-        }
-    });
-    ahat
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,9 +251,7 @@ mod tests {
         let sampler = UnitUniform::<f64>::sampler(Rng::new(cfg.seed));
         let seq = sketch_alg4(&blocked, &cfg, &sampler);
         let pr = sketch_alg4_par_rows(&blocked, &cfg, &sampler);
-        let pc = sketch_alg4_par_cols(&blocked, &cfg, &sampler);
         assert_eq!(seq, pr);
-        assert_eq!(seq, pc);
     }
 
     #[test]

@@ -14,6 +14,11 @@ cargo build --release --workspace --all-targets
 echo "== tests =="
 cargo test -q --release --workspace
 
+echo "== parallel drivers at SKETCH_THREADS=1 (sequential path) and 3 (more workers than cores) =="
+for t in 1 3; do
+  SKETCH_THREADS="$t" cargo test -q --release -p parkit -p sketchcore
+done
+
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

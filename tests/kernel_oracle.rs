@@ -24,7 +24,6 @@ use rngkit::{
     BlockSampler, CheckpointRng, DistSampler, FastRng, PhiloxSampler, Rademacher, ScaledInt,
     UnitUniform, Xoshiro256PlusPlus,
 };
-use sketchcore::parallel::sketch_alg4_par_cols;
 use sketchcore::{
     sketch_alg3, sketch_alg3_instrumented, sketch_alg3_multi, sketch_alg3_par_cols,
     sketch_alg3_par_rows, sketch_alg3_signs, sketch_alg4, sketch_alg4_instrumented,
@@ -229,8 +228,6 @@ where
                 assert_bits(&fused, &tpc, &ctx_t("try_sketch_alg3_par_cols"));
                 let pr4 = sketch_alg4_par_rows(&blocked, &cfg, &sampler);
                 assert_bits(&fma, &pr4, &ctx_t("sketch_alg4_par_rows"));
-                let pc4 = sketch_alg4_par_cols(&blocked, &cfg, &sampler);
-                assert_bits(&fma, &pc4, &ctx_t("sketch_alg4_par_cols"));
             });
         }
 
