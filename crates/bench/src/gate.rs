@@ -6,8 +6,10 @@
 //! kernel libraries treat benchmark tracking as first-class infrastructure):
 //!
 //! * [`suite`] builds a fixed set of scenarios — Algorithm 3/4 sketches at
-//!   several shapes, SAP-QR's Householder factor of a 2n×n sketch, an LSQR
-//!   and an LSMR solve, and a SAP end-to-end run at smoke scale.
+//!   several shapes, SAP-QR's Householder factor of a 2n×n sketch (scaled,
+//!   and at Table IX's 1200×600 at every scale), its `R⁻¹`/`R⁻ᵀ`
+//!   preconditioner pair, an LSQR and an LSMR solve, and a SAP end-to-end
+//!   run at smoke scale.
 //! * [`run_suite`] times each scenario `reps` times with [`obskit::reset`]
 //!   between repetitions (so counters and spans describe exactly one
 //!   execution), snapshots the deterministic work counters, and summarizes
@@ -35,12 +37,13 @@ use crate::json::{parse, Jval};
 use crate::{fmt_s, ident, print_table};
 use datagen::lsq::{tall_conditioned, CondSpec};
 use datagen::make_rhs;
-use densekit::householder_qr_r;
+use densekit::{householder_qr_r, Matrix};
 use lstsq::{
-    lsmr, solve_lsqr_d, solve_sap, CscOp, LsmrOptions, LsqrOptions, SapFlavor, SapOptions,
+    lsmr, solve_lsqr_d, solve_sap, CscOp, LsmrOptions, LsqrOptions, Preconditioner, SapFlavor,
+    SapOptions, UpperTriPrecond,
 };
 use obskit::{Ctr, CTR_NAMES, NCTR};
-use rngkit::{FastRng, Rademacher, UnitUniform};
+use rngkit::{u64_to_unit_f64, FastRng, Rademacher, UnitUniform, Xoshiro256PlusPlus};
 use sketchcore::{
     sketch_alg3, sketch_alg3_multi, sketch_alg3_signs, sketch_alg4, CostModel, SketchConfig,
 };
@@ -102,6 +105,18 @@ fn div(x: usize, scale: usize) -> usize {
 fn shape_of<T: sparsekit::Scalar>(a: &sparsekit::CscMatrix<T>) -> String {
     format!("{}×{} nnz {}", a.nrows(), a.ncols(), a.nnz())
 }
+
+fn dense_shape(a: &Matrix<f64>) -> String {
+    format!(
+        "{}×{} nnz {} (dense)",
+        a.nrows(),
+        a.ncols(),
+        a.as_slice().len()
+    )
+}
+
+/// Preconditioner pairs one `precond_pair` repetition runs.
+const PRECOND_PAIRS: usize = 200;
 
 /// The fixed scenario suite at `1/scale` of the gate's full sizes. All data
 /// and samplers derive from [`SUITE_SEED`], so the work each scenario does
@@ -180,20 +195,64 @@ pub fn suite(scale: usize) -> Vec<Scenario> {
 
     // SAP-QR's factor stage: Householder R of the tall operand's 2n×n
     // sketch, sketched once here so the scenario times the factor alone.
+    let s = UnitUniform::<f64>::sampler(FastRng::new(cfg3.seed));
+    let ahat = sketch_alg3(&a_tall, &cfg3, &s);
+    let r_tall = householder_qr_r(&ahat);
+    out.push(Scenario {
+        name: "qr_factor",
+        kernel: "householder_qr_r",
+        shape: dense_shape(&ahat),
+        run: Box::new(move || {
+            std::hint::black_box(householder_qr_r(&ahat));
+        }),
+    });
+
+    // The same stage at Table IX's shape, a γ = 2 sketch of a 600-column
+    // problem, at every scale: scaled down, `qr_factor` is too small to show
+    // how the threaded factor scales. QR's time does not depend on the
+    // values, so a uniform dense matrix stands in for the sketch.
     {
-        let s = UnitUniform::<f64>::sampler(FastRng::new(cfg3.seed));
-        let ahat = sketch_alg3(&a_tall, &cfg3, &s);
+        let mut rng = Xoshiro256PlusPlus::new(SUITE_SEED + 5);
+        let wide = Matrix::from_fn(1200, 600, |_, _| u64_to_unit_f64(rng.next_u64()) - 0.5);
         out.push(Scenario {
-            name: "qr_factor",
+            name: "qr_factor_wide",
             kernel: "householder_qr_r",
+            shape: dense_shape(&wide),
+            run: Box::new(move || {
+                std::hint::black_box(householder_qr_r(&wide));
+            }),
+        });
+    }
+
+    // SAP-QR's preconditioner: one LSQR iteration's `R⁻¹` and `R⁻ᵀ`
+    // solves with `qr_factor`'s R, repeated so one repetition is long
+    // enough to time. At small scales the tall operand has empty columns,
+    // whose zero diagonals SAP would hand to the SVD; the solves' time does
+    // not depend on the values, so those diagonals are set to one.
+    {
+        let mut r = r_tall;
+        let n = r.ncols();
+        for j in 0..n {
+            if r[(j, j)] == 0.0 {
+                r[(j, j)] = 1.0;
+            }
+        }
+        let pre = UpperTriPrecond::new(r);
+        let y: Vec<f64> = (0..n).map(|i| (i % 7) as f64 - 3.0).collect();
+        out.push(Scenario {
+            name: "precond_pair",
+            kernel: "UpperTriPrecond apply+apply_t",
             shape: format!(
-                "{}×{} nnz {} (dense)",
-                ahat.nrows(),
-                ahat.ncols(),
-                ahat.as_slice().len()
+                "{n}×{n} nnz {} (upper triangular), {PRECOND_PAIRS} pairs",
+                n * (n + 1) / 2
             ),
             run: Box::new(move || {
-                std::hint::black_box(householder_qr_r(&ahat));
+                let (mut x, mut yt) = (vec![0.0; n], vec![0.0; n]);
+                for _ in 0..PRECOND_PAIRS {
+                    pre.apply(&y, &mut x);
+                    pre.apply_t(&x, &mut yt);
+                    std::hint::black_box(&yt);
+                }
             }),
         });
     }

@@ -32,7 +32,7 @@ fn test_cfg() -> GateConfig {
 fn baseline_written_json_parses_back_identically() {
     let _g = lock();
     let base = record_baseline(&test_cfg()).expect("record");
-    assert_eq!(base.scenarios.len(), 10, "full suite recorded");
+    assert_eq!(base.scenarios.len(), 12, "full suite recorded");
     assert!(base.manifest.threads >= 1);
     assert_eq!(base.manifest.obskit_version, obskit::VERSION);
     assert_eq!(

@@ -5,9 +5,10 @@
 //!
 //! * [`Matrix`] — column-major dense storage (the sketch `Â = S·A` is dense,
 //!   and column-major matches Algorithm 3's column-wise updates).
-//! * [`qr`] — blocked Householder QR, bit-identical to the column-at-a-time
-//!   loop; the R factor of the sketch is the preconditioner in SAP-QR
-//!   (paper §V-C1).
+//! * [`qr`] — blocked Householder QR, pipelined over parkit workers for
+//!   large sketches and bit-identical to the column-at-a-time loop at every
+//!   thread count; the R factor of the sketch is the preconditioner in
+//!   SAP-QR (paper §V-C1).
 //! * [`svd`] — Golub–Kahan–Reinsch SVD (bidiagonalization + implicit-shift
 //!   QR); `V·Σ⁻¹` from the sketch is the SAP-SVD preconditioner for
 //!   rank-deficient problems, with singular values below

@@ -13,6 +13,21 @@
 //! chain and axpy as the unblocked loop, so the bits do not depend on the
 //! blocking; the blocking only lets `G` independent dot chains overlap
 //! their FMA latencies instead of running one after another.
+//!
+//! Large factorizations run as one pipeline forked once over
+//! `T = min(threads, panels / 2)` workers. Blocks of `NB` columns are dealt
+//! cyclically, and each worker updates only the blocks it owns
+//! (owner-computes). A factored panel is published as a copy of its
+//! reflectors and `τ` in a per-panel slot, and the other workers wait only
+//! for the panel they apply next. The owner of block `p + 1` looks ahead:
+//! it applies panel `p` to that block first, factors and publishes panel
+//! `p + 1` at once, and only then updates its other blocks. Each block still
+//! receives the panels in ascending order, so R and `τ` are the same bits at
+//! every thread count. A worker that dies at claim time never publishes its
+//! panels; the waiters see [`parkit::cancelled`] and return, and parkit
+//! re-raises the original panic.
+
+use std::sync::OnceLock;
 
 use crate::{solve_upper, Matrix, Scalar};
 
@@ -22,6 +37,13 @@ const NB: usize = 16;
 /// Trailing columns one [`reflect_group`] call updates together: enough
 /// independent dot chains to cover the FMA latency.
 const G: usize = 8;
+
+/// `m·n²` below which the factorization stays on one worker. parkit's
+/// fork and join costs ~85 µs per call on a 2-vCPU host (83–103 µs
+/// measured); a sequential factorization at this size takes ~1 ms, so a
+/// fork repays itself above it. serve_mixed's 80×40 SAP sketch
+/// (`m·n²` = 1.3e5) stays far below.
+const FORK_MIN_WORK: usize = 4_000_000;
 
 /// QR factorization with stored Householder reflectors.
 ///
@@ -39,35 +61,34 @@ impl<T: Scalar> HouseholderQr<T> {
         let (m, n) = (a.nrows(), a.ncols());
         assert!(m >= n, "QR requires m >= n (got {m}x{n})");
         let mut qr = a.clone();
-        let mut tau = vec![T::ZERO; n];
-        for p0 in (0..n).step_by(NB) {
-            let p1 = (p0 + NB).min(n);
-            // Panel: columns p0..p1, one column at a time.
-            for k in p0..p1 {
-                tau[k] = make_reflector(&mut qr.col_mut(k)[k..]);
-                for j in k + 1..p1 {
-                    let (ck, cj) = qr.two_cols_mut(k, j);
-                    reflect(&ck[k + 1..], tau[k], &mut cj[k..]);
-                }
-            }
-            // Trailing update: the panel's reflectors, in order, on columns
-            // p1..n — whole groups of G columns, then the ragged rest.
-            let (done, trailing) = qr.as_mut_slice().split_at_mut(p1 * m);
-            let reflector = |k: usize| (&done[k * m + k + 1..(k + 1) * m], tau[k]);
-            let mut groups = trailing.chunks_exact_mut(G * m);
-            for group in groups.by_ref() {
-                for k in p0..p1 {
-                    let (v, tk) = reflector(k);
-                    reflect_group(v, tk, k, group);
-                }
-            }
-            for cj in groups.into_remainder().chunks_exact_mut(m) {
-                for k in p0..p1 {
-                    let (v, tk) = reflector(k);
-                    reflect(v, tk, &mut cj[k..]);
-                }
-            }
+        let panels = n.div_ceil(NB);
+        let slots: Vec<OnceLock<Panel<T>>> = (0..panels).map(|_| OnceLock::new()).collect();
+        let workers = if m.saturating_mul(n).saturating_mul(n) < FORK_MIN_WORK {
+            1
+        } else {
+            parkit::current_threads().min(panels / 2).max(1)
+        };
+        let mut owned: Vec<Vec<(usize, &mut [T])>> = (0..workers).map(|_| Vec::new()).collect();
+        for (b, block) in qr.as_mut_slice().chunks_mut((NB * m).max(1)).enumerate() {
+            owned[b % workers].push((b, block));
         }
+        if workers == 1 {
+            // The same pipeline on the calling thread, without a fork.
+            for blocks in owned {
+                factor_owned(m, blocks, &slots);
+            }
+        } else {
+            parkit::for_each(owned, |blocks| factor_owned(m, blocks, &slots));
+        }
+        let tau = slots
+            .into_iter()
+            .flat_map(|slot| match slot.into_inner() {
+                Some(panel) => panel.tau,
+                // A panel stays unpublished only when its owner died, and
+                // parkit then re-raises that panic before this point.
+                None => unreachable!("every panel is published"),
+            })
+            .collect();
         Self { qr, tau }
     }
 
@@ -103,6 +124,124 @@ impl<T: Scalar> HouseholderQr<T> {
         let r = self.r();
         solve_upper(&r, &mut x);
         x
+    }
+}
+
+/// A factored panel as every worker reads it: a copy of its columns (the
+/// reflectors below the diagonal, `m` rows each) and their `τ`.
+struct Panel<T> {
+    cols: Vec<T>,
+    tau: Vec<T>,
+}
+
+/// One worker of the pipeline: factor the blocks in `blocks` (ascending
+/// `(block index, columns)`, column major with `m` rows) and apply every
+/// earlier panel to each, in order, publishing each factored block in
+/// `slots`. Panel `p + 1` is factored as soon as panel `p` reaches it, before
+/// panel `p` updates the worker's other blocks. Returns early, with its
+/// blocks half done, when the call is cancelled while it waits.
+fn factor_owned<T: Scalar>(
+    m: usize,
+    mut blocks: Vec<(usize, &mut [T])>,
+    slots: &[OnceLock<Panel<T>>],
+) {
+    let publish = |b: usize, block: &mut [T]| {
+        let tau = factor_panel(b * NB, m, block);
+        let panel = Panel {
+            cols: block.to_vec(),
+            tau,
+        };
+        // Each panel has one owner, so its slot is empty here.
+        let _ = slots[b].set(panel);
+    };
+    // Panel 0 needs no earlier panel: its owner factors it at once.
+    if let Some((0, block)) = blocks.first_mut() {
+        publish(0, block);
+    }
+    for (p, slot) in slots.iter().enumerate() {
+        // Blocks still waiting for panel p: those after it, in order.
+        let later = blocks.partition_point(|&(b, _)| b <= p);
+        if later == blocks.len() {
+            break;
+        }
+        let Some(panel) = wait_for(slot) else {
+            return;
+        };
+        // The first of them is the lookahead block when it is block p + 1.
+        let lookahead = blocks[later].0 == p + 1;
+        for (i, (b, block)) in blocks[later..].iter_mut().enumerate() {
+            apply_panel(panel, p * NB, m, block);
+            if i == 0 && lookahead {
+                publish(*b, block);
+            }
+        }
+    }
+}
+
+/// The published panel in `slot`, once its owner has factored it; `None`
+/// when the call is cancelled first (its owner died). Yields while it
+/// waits, so a worker sharing a core with the owner does not starve it.
+fn wait_for<T>(slot: &OnceLock<Panel<T>>) -> Option<&Panel<T>> {
+    loop {
+        if let Some(panel) = slot.get() {
+            return Some(panel);
+        }
+        if parkit::cancelled() {
+            return None;
+        }
+        std::thread::yield_now();
+    }
+}
+
+/// Factor the panel `block` (columns `p0..`, column major with `m` rows),
+/// whose earlier panels are all applied, one column at a time: make the
+/// column's reflector, then apply it to the panel's later columns.
+/// Returns the panel's `τ`.
+fn factor_panel<T: Scalar>(p0: usize, m: usize, block: &mut [T]) -> Vec<T> {
+    let width = block.len() / m;
+    let mut tau = Vec::with_capacity(width);
+    for c in 0..width {
+        let k = p0 + c;
+        let (head, later) = block.split_at_mut((c + 1) * m);
+        let col = &mut head[c * m..];
+        let tk = make_reflector(&mut col[k..]);
+        reflect_cols(&col[k + 1..], tk, k, m, later);
+        tau.push(tk);
+    }
+    tau
+}
+
+/// Apply `panel` (columns `p0..`) to `block`, `G` columns at a time: each
+/// group of the block receives the panel's reflectors in order.
+fn apply_panel<T: Scalar>(panel: &Panel<T>, p0: usize, m: usize, block: &mut [T]) {
+    for group in block.chunks_mut(G * m) {
+        for (c, &tk) in panel.tau.iter().enumerate() {
+            let k = p0 + c;
+            reflect_cols(&panel.cols[c * m + k + 1..(c + 1) * m], tk, k, m, group);
+        }
+    }
+}
+
+/// [`reflect`] at row `k` of every column of `cols` (column major, `m`
+/// rows each), `G`, 4, 2 or 1 columns at a time so that up to `G`
+/// independent dot chains overlap.
+fn reflect_cols<T: Scalar>(v: &[T], tau: T, k: usize, m: usize, cols: &mut [T]) {
+    let mut rest = cols;
+    while !rest.is_empty() {
+        let width = match rest.len() / m {
+            w if w >= G => G,
+            w if w >= 4 => 4,
+            w if w >= 2 => 2,
+            _ => 1,
+        };
+        let (group, tail) = std::mem::take(&mut rest).split_at_mut(width * m);
+        match width {
+            G => reflect_group::<T, G>(v, tau, k, group),
+            4 => reflect_group::<T, 4>(v, tau, k, group),
+            2 => reflect_group::<T, 2>(v, tau, k, group),
+            _ => reflect(v, tau, &mut group[k..]),
+        }
+        rest = tail;
     }
 }
 
@@ -154,30 +293,30 @@ fn reflect<T: Scalar>(v: &[T], tau: T, x: &mut [T]) {
     }
 }
 
-/// [`reflect`] at row `k` of each of the `G` columns of `group` (column
-/// major, `group.len() / G` rows each), bit for bit: the `G` dot chains are
+/// [`reflect`] at row `k` of each of the `C` columns of `group` (column
+/// major, `group.len() / C` rows each), bit for bit: the `C` dot chains are
 /// interleaved, each still one sequential `mul_add` chain over `v`, so
-/// they overlap their latencies; then the `G` axpys run.
+/// they overlap their latencies; then the `C` axpys run.
 ///
-/// Kept out of line: inlined into [`HouseholderQr::factor`], the column
-/// pointers spilled to the stack and the row bounds checks stayed in the
-/// dot loop, which ran it at half speed.
+/// Kept out of line: inlined into its caller, the column pointers spilled
+/// to the stack and the row bounds checks stayed in the dot loop, which ran
+/// it at half speed.
 #[inline(never)]
-fn reflect_group<T: Scalar>(v: &[T], tau: T, k: usize, group: &mut [T]) {
+fn reflect_group<T: Scalar, const C: usize>(v: &[T], tau: T, k: usize, group: &mut [T]) {
     if tau == T::ZERO {
         return;
     }
-    let m = group.len() / G;
+    let m = group.len() / C;
     let len = v.len();
     let mut rest = group;
-    let mut xs: [&mut [T]; G] = std::array::from_fn(|_| {
+    let mut xs: [&mut [T]; C] = std::array::from_fn(|_| {
         let (col, tail) = std::mem::take(&mut rest).split_at_mut(m);
         rest = tail;
         &mut col[k..][..=len]
     });
-    let mut dot: [T; G] = std::array::from_fn(|c| xs[c][0]);
+    let mut dot: [T; C] = std::array::from_fn(|c| xs[c][0]);
     for (i, &vi) in v.iter().enumerate() {
-        for c in 0..G {
+        for c in 0..C {
             dot[c] = vi.mul_add(xs[c][i + 1], dot[c]);
         }
     }
@@ -385,22 +524,59 @@ mod tests {
                 zero_cols(filled(60, 40, 7), &[0, 3, 16, 17, 39]),
             ),
             ("all zero", Matrix::zeros(20, 12)),
+            ("no columns", Matrix::zeros(5, 0)),
+            ("empty", Matrix::zeros(0, 0)),
             ("NaN column", nan_col),
+            // Above FORK_MIN_WORK: the threaded pipeline.
+            ("SAP-shaped 600 x 300, threaded", filled(600, 300, 10)),
+            ("n % 16 = 13, n % 8 = 5, threaded", filled(1000, 301, 11)),
+            ("21 panels, ragged last, threaded", filled(700, 333, 12)),
+            (
+                "zero columns, threaded",
+                zero_cols(filled(400, 200, 13), &[0, 15, 16, 100, 199]),
+            ),
         ];
         for (what, a) in cases {
             let (want_qr, want_tau) = unblocked_factor(&a);
-            let got = HouseholderQr::factor(&a);
-            assert_eq!(
-                bits(got.qr.as_slice()),
-                bits(want_qr.as_slice()),
-                "{what}: R and reflectors"
-            );
-            assert_eq!(bits(&got.tau), bits(&want_tau), "{what}: tau");
-            assert_eq!(
-                bits(householder_qr_r(&a).as_slice()),
-                bits(got.r().as_slice()),
-                "{what}: R"
-            );
+            for threads in [1, 2, 3, 5] {
+                let got = parkit::with_threads(threads, || HouseholderQr::factor(&a));
+                assert_eq!(
+                    bits(got.qr.as_slice()),
+                    bits(want_qr.as_slice()),
+                    "{what}: R and reflectors ({threads} threads)"
+                );
+                assert_eq!(
+                    bits(&got.tau),
+                    bits(&want_tau),
+                    "{what}: tau ({threads} threads)"
+                );
+                let r = parkit::with_threads(threads, || householder_qr_r(&a));
+                assert_eq!(
+                    bits(r.as_slice()),
+                    bits(got.r().as_slice()),
+                    "{what}: R ({threads} threads)"
+                );
+            }
+        }
+    }
+
+    /// The threaded cases above exercise the pipeline only if they fork,
+    /// and serve_mixed's 80×40 SAP sketch must not.
+    #[test]
+    fn fork_cutoff_separates_the_test_shapes() {
+        let shapes = [
+            (80, 40, false),
+            (240, 120, false),
+            (600, 300, true),
+            (1000, 301, true),
+            (700, 333, true),
+            (400, 200, true),
+        ];
+        for (m, n, forks) in shapes {
+            assert_eq!(m * n * n >= FORK_MIN_WORK, forks, "{m}x{n}");
+            if forks {
+                assert!(n.div_ceil(NB) / 2 >= 5, "{m}x{n} gives 5 workers blocks");
+            }
         }
     }
 

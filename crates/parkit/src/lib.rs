@@ -35,6 +35,15 @@
 //! typed error instead of a panic wrap the parkit call in their own
 //! `catch_unwind` (see sketchcore's hardened drivers).
 //!
+//! ## Cancellation
+//!
+//! Items of one call may wait on each other (densekit's threaded QR hands
+//! factored panels from one worker to the next). A worker that dies stops
+//! the claiming, so an item it would have run never starts, and an item
+//! waiting on it would wait for ever. [`cancelled`] lets a running item see
+//! its call's abort flag: a waiting item polls it and returns, the call
+//! joins, and the original payload is re-raised as above.
+//!
 //! For fault-injection testing, every claimed item passes the
 //! `parkit/worker` faultkit site once, before it runs, on the sequential and
 //! the threaded path alike: arming it (e.g.
@@ -42,13 +51,24 @@
 //! before any span opens, exercising exactly this recovery path.
 
 use std::any::Any;
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 thread_local! {
     static OVERRIDE: Cell<usize> = const { Cell::new(0) };
+    /// The abort flag of the call this worker thread was spawned for.
+    static CALL_ABORT: OnceCell<Arc<AtomicBool>> = const { OnceCell::new() };
+}
+
+/// Has the parallel call running this item been aborted by a panic in
+/// another of its items? Items that wait on other items poll this and
+/// return when it is set; the call then re-raises the panic. Always `false`
+/// outside a worker thread; on the sequential path a panic unwinds through
+/// the caller at once, so no item is left waiting.
+pub fn cancelled() -> bool {
+    CALL_ABORT.with(|a| a.get().is_some_and(|f| f.load(Ordering::Relaxed)))
 }
 
 fn env_threads() -> usize {
@@ -107,11 +127,14 @@ fn run<F: Fn(usize) + Sync>(n: usize, f: F) {
         return;
     }
     let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
+    let abort = Arc::new(AtomicBool::new(false));
     let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
     std::thread::scope(|s| {
         for _ in 0..threads {
             s.spawn(|| {
+                CALL_ABORT.with(|a| {
+                    a.get_or_init(|| Arc::clone(&abort));
+                });
                 while !abort.load(Ordering::Relaxed) {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= n {
@@ -382,6 +405,47 @@ mod tests {
             4,
             "items did not run at once"
         );
+    }
+
+    /// Items waiting on an item that panics before it delivers see
+    /// [`cancelled`], return, and the caller gets the original payload
+    /// instead of a hang. (The claim-time fault, after which the item never
+    /// starts, is tested through the threaded QR in `tests/sap_recovery.rs`.)
+    #[test]
+    fn cancelled_releases_items_waiting_on_a_dead_item() {
+        assert!(!cancelled(), "no call is running on this thread");
+        for threads in [2usize, 3] {
+            let done = AtomicBool::new(false);
+            let released = AtomicUsize::new(0);
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                with_threads(threads, || {
+                    for_each((0..threads).collect(), |i: usize| {
+                        if i == threads - 1 {
+                            std::panic::panic_any("dead item");
+                        }
+                        // Wait for the dead item to set `done`: only the
+                        // abort flag can end this wait.
+                        while !done.load(Ordering::SeqCst) {
+                            if cancelled() {
+                                released.fetch_add(1, Ordering::SeqCst);
+                                return;
+                            }
+                            assert!(Instant::now() < deadline, "waiter hung");
+                            std::thread::yield_now();
+                        }
+                    })
+                })
+            }));
+            let p = caught.expect_err("panic must propagate");
+            assert_eq!(*p.downcast_ref::<&str>().unwrap(), "dead item");
+            assert_eq!(
+                released.load(Ordering::SeqCst),
+                threads - 1,
+                "every waiting item released ({threads} threads)"
+            );
+            assert!(!cancelled());
+        }
     }
 
     #[test]

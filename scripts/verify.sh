@@ -14,9 +14,10 @@ cargo build --release --workspace --all-targets
 echo "== tests =="
 cargo test -q --release --workspace
 
-echo "== parallel drivers at SKETCH_THREADS=1 (sequential path) and 3 (more workers than cores) =="
+echo "== parallel drivers and the threaded QR at SKETCH_THREADS=1 (sequential path) and 3 (more workers than cores) =="
 for t in 1 3; do
-  SKETCH_THREADS="$t" cargo test -q --release -p parkit -p sketchcore
+  SKETCH_THREADS="$t" cargo test -q --release -p parkit -p sketchcore -p densekit -p lstsq
+  SKETCH_THREADS="$t" cargo test -q --release -p sparse-sketch --test numeric_contract --test sap_recovery
 done
 
 echo "== clippy (-D warnings) =="

@@ -11,7 +11,7 @@
 //! * [`rngkit`] — seekable RNGs (xoshiro checkpoints, Philox counters) and
 //!   entry distributions.
 //! * [`sparsekit`] — CSC/CSR/COO/blocked-CSR sparse formats and I/O.
-//! * [`densekit`] — dense matrices, GEMM, QR, SVD.
+//! * [`densekit`] — dense matrices, QR, SVD, triangular solves.
 //! * [`sketchcore`] — Algorithms 1, 3 and 4; parallel drivers; roofline model.
 //! * [`baselines`] — materialized-`S` library-style SpMM baselines.
 //! * [`lstsq`] — LSQR, sketch-and-precondition solvers, sparse QR.
