@@ -21,8 +21,8 @@
 //!
 //! `--obs-json PATH` (or `SKETCH_OBS_JSON`) exports the suite's telemetry —
 //! one repetition of every scenario, the manifest-counters convention — as
-//! JSONL with the same truncate-on-write sink semantics as `repro` and
-//! `sketchprof`. `--trace-out` / `--trace-folded` (record mode) arm the
+//! JSONL with the same truncate-on-write sink semantics as `repro`.
+//! `--trace-out` / `--trace-folded` (record mode) arm the
 //! flight recorder for the whole suite run and drain it like `repro` does:
 //! Perfetto JSON, collapsed stacks + SVG flamegraph, and the slowest-blocks
 //! anomaly table.
@@ -107,7 +107,7 @@ fn parse_cli(args: &[String]) -> Option<Cli> {
 
 // Write the suite's merged telemetry snapshot to the resolved JSONL sink
 // (CLI beats SKETCH_OBS_JSON; truncate-on-write — identical semantics to
-// `repro` / `sketchprof`, which share `obskit::resolve_json_sink`).
+// `repro`, which shares `obskit::resolve_json_sink`).
 fn write_obs_json(cli_path: Option<String>, snap: &obskit::Snapshot) -> std::io::Result<()> {
     if let Some(path) = obskit::resolve_json_sink(cli_path) {
         snap.write_jsonl(&path)?;

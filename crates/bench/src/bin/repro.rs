@@ -19,9 +19,7 @@
 //!   junk     §V-A RNG-free upper bound
 //!   stream   §V-B machine probes
 //!   smoke    fast end-to-end consistency check
-//!   kernelchoice  pattern-aware Alg3/Alg4 predictor vs measurement
-//!   minnorm       underdetermined (minimum-norm) solve extension
-//!   distortion    sketch quality: σ(S·Q) vs the 1±1/√γ theory
+//!   distortion  sketch quality: σ(S·Q) vs the 1±1/√γ theory
 //!   all      everything above
 //! ```
 //!
@@ -37,11 +35,11 @@
 //! slowest-blocks anomaly table (measured vs traffic-model latency).
 
 use bench::tracecli::TraceOpts;
-use bench::{extensions, figures, solvers, tables, RunConfig};
+use bench::{figures, solvers, tables, RunConfig};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro [table1..table9|fig4|fig5|fig6|roofline|junk|stream|smoke|kernelchoice|minnorm|distortion|all] \
+        "usage: repro [table1..table9|fig4|fig5|fig6|roofline|junk|stream|smoke|distortion|all] \
          [--scale N] [--reps N] [--threads N] [--obs-json PATH] [--trace-out PATH] [--trace-folded PATH]"
     );
     std::process::exit(2)
@@ -119,9 +117,7 @@ fn main() {
         "roofline" => figures::roofline(),
         "junk" => tables::junk_ablation(&rc),
         "stream" => figures::stream(),
-        "kernelchoice" => extensions::kernel_choice(&rc),
-        "minnorm" => extensions::minnorm(&rc),
-        "distortion" => extensions::distortion(&rc),
+        "distortion" => solvers::distortion(&rc),
         "smoke" => {
             let secs = tables::smoke();
             println!("smoke check passed in {secs:.3}s: Alg3 ≡ Alg4 ≡ materialized baseline");
@@ -141,9 +137,7 @@ fn main() {
             figures::roofline();
             tables::junk_ablation(&rc);
             figures::stream();
-            extensions::kernel_choice(&rc);
-            extensions::minnorm(&rc);
-            extensions::distortion(&rc);
+            solvers::distortion(&rc);
         }
         _ => usage(),
     }

@@ -11,7 +11,8 @@
 //! * `recovered` — succeeded after retries, QR→SVD fallback, or block
 //!   degradation (read off the `sap.retries` / `sap.fallback_svd` /
 //!   `budget.degraded_blocks` counter deltas);
-//! * `typed_error` — failed with a typed [`SketchError`]/[`SolveError`];
+//! * `typed_error` — failed with a typed [`sketchcore::SketchError`] or
+//!   [`lstsq::SolveError`];
 //! * `panicked` / `hung` — the two outcomes the hardening layer promises
 //!   never happen; any such cell fails the binary.
 //!

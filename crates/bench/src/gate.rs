@@ -39,7 +39,7 @@ use datagen::lsq::{tall_conditioned, CondSpec};
 use datagen::make_rhs;
 use densekit::{householder_qr_r, Matrix};
 use lstsq::{
-    lsmr, solve_lsqr_d, solve_sap, CscOp, LsmrOptions, LsqrOptions, Preconditioner, SapFlavor,
+    lsmr, solve_lsqr_d, try_solve_sap, CscOp, LsmrOptions, LsqrOptions, Preconditioner, SapFlavor,
     SapOptions, UpperTriPrecond,
 };
 use obskit::{Ctr, CTR_NAMES, NCTR};
@@ -350,7 +350,7 @@ pub fn suite(scale: usize) -> Vec<Scenario> {
                     flavor: SapFlavor::Qr,
                     lsqr: LsqrOptions::default(),
                 };
-                std::hint::black_box(solve_sap(&a, &b, &opts));
+                std::hint::black_box(try_solve_sap(&a, &b, &opts).expect("sap_e2e converges"));
             }),
         });
     }

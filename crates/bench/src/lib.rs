@@ -14,7 +14,6 @@
 //! EXPERIMENTS.md.
 
 pub mod chaos;
-pub mod extensions;
 pub mod figures;
 pub mod flame;
 pub mod gate;

@@ -1,4 +1,5 @@
-//! Least-squares experiment runners — Tables VIII–XI and Figure 6.
+//! Least-squares experiment runners — Tables VIII–XI and Figure 6, plus the
+//! effective-distortion measurement behind SAP's flat iteration counts.
 
 use crate::{fmt_g, fmt_s, print_table, RunConfig};
 use datagen::lsq::{lsq_suite, LsqProblem};
@@ -6,7 +7,8 @@ use datagen::make_rhs;
 use densekit::cond::{cond2, cond2_equilibrated};
 use densekit::Matrix;
 use lstsq::{
-    backward_error, solve_lsqr_d, solve_sap, sparse_qr_solve, LsqrOptions, SapFlavor, SapOptions,
+    backward_error, solve_lsqr_d, sparse_qr_solve, try_solve_sap, LsqrOptions, SapFlavor,
+    SapOptions,
 };
 use sparsekit::CscMatrix;
 
@@ -66,7 +68,8 @@ pub fn run_solvers(p: &LsqProblem, rc: &RunConfig) -> SolverRun {
     let err_d = backward_error(&p.a, &x_d, &b);
 
     let opts = sap_opts(p, rc);
-    let sap = solve_sap(&p.a, &b, &opts);
+    let sap =
+        try_solve_sap(&p.a, &b, &opts).unwrap_or_else(|e| panic!("SAP failed on {}: {e}", p.name));
     let err_sap = backward_error(&p.a, &sap.x, &b);
     let flavor = if p.paper.sap_qr { "SAP-QR" } else { "SAP-SVD" };
 
@@ -331,6 +334,35 @@ pub fn sketch_distortion(a: &CscMatrix<f64>, gamma: usize, seed: u64) -> (f64, f
     (sv[sv.len() - 1], sv[0])
 }
 
+/// Sketch quality: singular-value range of `S·Q` for orthonormal `Q`
+/// (effective distortion, paper §IV-B2 / §V intro) across γ.
+pub fn distortion(rc: &RunConfig) {
+    let a = datagen::uniform_random::<f64>((20_000 / rc.scale).max(1500), 48, 0.01, 5);
+    let mut rows = Vec::new();
+    for gamma in [2usize, 3, 4, 8] {
+        let (smin, smax) = sketch_distortion(&a, gamma, 11);
+        let eps = 1.0 / (gamma as f64).sqrt();
+        rows.push(vec![
+            gamma.to_string(),
+            fmt_g(smin),
+            fmt_g(smax),
+            format!("[{:.3}, {:.3}]", 1.0 - eps, 1.0 + eps),
+            fmt_g((smax / smin + 1.0) / (smax / smin - 1.0).max(1e-9)),
+        ]);
+    }
+    print_table(
+        "Effective distortion of the sketch: σ(S·Q) vs theory 1±1/√γ",
+        &[
+            "γ",
+            "σmin",
+            "σmax",
+            "theory range",
+            "implied LSQR rate bound",
+        ],
+        &rows,
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,7 +383,7 @@ mod tests {
         use datagen::lsq::{tall_conditioned, CondSpec};
         let a = tall_conditioned(4000, 64, 0.01, CondSpec::chain(2.0), 3);
         let (b, _) = make_rhs(&a, 1);
-        let sap = solve_sap(
+        let sap = try_solve_sap(
             &a,
             &b,
             &SapOptions {
@@ -362,7 +394,8 @@ mod tests {
                 flavor: SapFlavor::Qr,
                 lsqr: LsqrOptions::default(),
             },
-        );
+        )
+        .expect("SAP converges");
         let qr = sparse_qr_solve(&a, &b);
         assert!(
             (sap.memory_bytes as u64) < qr.factor_bytes,

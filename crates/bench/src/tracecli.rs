@@ -1,6 +1,6 @@
 //! Shared `--trace-out` / `--trace-folded` plumbing for the binaries.
 //!
-//! `repro`, `sketchprof` and `benchgate record` accept the same two flags
+//! `repro` and `benchgate record` accept the same two flags
 //! and drain the flight recorder ([`obskit::trace`]) the same way, so the
 //! lifecycle lives here once:
 //!

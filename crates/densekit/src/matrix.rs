@@ -45,12 +45,6 @@ impl<T: Scalar> Matrix<T> {
         Self { nrows, ncols, data }
     }
 
-    /// Wrap an existing column-major buffer.
-    pub fn from_col_major(nrows: usize, ncols: usize, data: Vec<T>) -> Self {
-        assert_eq!(data.len(), nrows * ncols, "buffer length mismatch");
-        Self { nrows, ncols, data }
-    }
-
     /// Build from a row-major buffer (transposing copy).
     pub fn from_row_major(nrows: usize, ncols: usize, data: &[T]) -> Self {
         assert_eq!(data.len(), nrows * ncols, "buffer length mismatch");
@@ -130,19 +124,6 @@ impl<T: Scalar> Matrix<T> {
         }
     }
 
-    /// Transposed matrix-vector product `y = Aᵀ·x`.
-    pub fn matvec_t(&self, x: &[T], y: &mut [T]) {
-        assert_eq!(x.len(), self.nrows);
-        assert_eq!(y.len(), self.ncols);
-        for (j, yj) in y.iter_mut().enumerate() {
-            let mut acc = T::ZERO;
-            for (&aij, &xi) in self.col(j).iter().zip(x.iter()) {
-                acc = aij.mul_add(xi, acc);
-            }
-            *yj = acc;
-        }
-    }
-
     /// Frobenius norm.
     pub fn fro_norm(&self) -> T {
         let mut acc = T::ZERO;
@@ -150,11 +131,6 @@ impl<T: Scalar> Matrix<T> {
             acc = v.mul_add(v, acc);
         }
         acc.sqrt()
-    }
-
-    /// Max absolute entry.
-    pub fn max_abs(&self) -> T {
-        self.data.iter().fold(T::ZERO, |m, &v| m.max_s(v.abs()))
     }
 
     /// Sub-matrix copy `A[r0..r1, c0..c1]`.
@@ -252,7 +228,7 @@ mod tests {
         m.matvec(&[1.0, 1.0, 1.0], &mut y);
         assert_eq!(y, [6.0, 15.0]);
         let mut z = [0.0; 3];
-        m.matvec_t(&[1.0, 1.0], &mut z);
+        m.transpose().matvec(&[1.0, 1.0], &mut z);
         assert_eq!(z, [5.0, 7.0, 9.0]);
     }
 
@@ -286,7 +262,6 @@ mod tests {
     fn norms() {
         let m = Matrix::from_row_major(2, 2, &[3.0, 0.0, 0.0, 4.0]);
         assert_eq!(m.fro_norm(), 5.0);
-        assert_eq!(m.max_abs(), 4.0);
         let z = Matrix::<f64>::zeros(2, 2);
         assert_eq!(m.diff_norm(&z), 5.0);
     }

@@ -9,8 +9,9 @@
 //!
 //! * [`solve_lsqr_d`] — LSQR with the diagonal column-equilibration
 //!   preconditioner (`D_ii = 1/‖A_i‖₂`, with the ε-guard of §V-C1).
-//! * [`solve_sap`] — SAP-QR and SAP-SVD (singular values below
-//!   `σ_max/10¹²` dropped).
+//! * [`try_solve_sap`] — SAP-QR and SAP-SVD (singular values below
+//!   `σ_max/10¹²` dropped), with typed errors, a rank check that falls back
+//!   from QR to SVD, and bounded retries.
 //! * [`sparse_qr`] — a George–Heath row-Givens sparse QR **direct** solver
 //!   standing in for SuiteSparseQR, with honest fill-in and Q-factor
 //!   accounting for the Table XI memory comparison.
@@ -22,7 +23,6 @@ pub mod error;
 pub mod lsmr;
 pub mod lsqr;
 pub mod metrics;
-pub mod minnorm;
 pub mod op;
 pub mod precond;
 pub mod sap;
@@ -32,11 +32,10 @@ pub use error::SolveError;
 pub use lsmr::{lsmr, LsmrOptions, LsmrResult};
 pub use lsqr::{lsqr, LsqrOptions, LsqrResult, StopReason};
 pub use metrics::{backward_error, MemoryReport};
-pub use minnorm::{solve_min_norm_sap, MinNormReport};
 pub use op::{CscOp, LinOp, PrecondOp};
 pub use precond::{DiagPrecond, IdentityPrecond, Preconditioner, SvdPrecond, UpperTriPrecond};
 pub use sap::{
-    solve_lsqr_d, solve_sap, try_solve_sap, try_solve_sap_with, RecoveryPolicy, SapFlavor,
-    SapOptions, SapReport,
+    solve_lsqr_d, try_solve_sap, try_solve_sap_with, RecoveryPolicy, SapFlavor, SapOptions,
+    SapReport,
 };
 pub use sparse_qr::{sparse_qr_solve, SparseQrReport};

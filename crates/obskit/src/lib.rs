@@ -108,7 +108,7 @@ const HIST_SUB_BITS: u32 = 3;
 const HIST_SUB: u64 = 1 << HIST_SUB_BITS;
 
 /// Number of histogram buckets: values `0..8` get exact buckets, every
-/// octave `2^o..2^(o+1)` for `o in 3..64` gets [`HIST_SUB`] buckets.
+/// octave `2^o..2^(o+1)` for `o in 3..64` gets 8 buckets.
 pub const HIST_NBUCKETS: usize = (HIST_SUB + (64 - HIST_SUB_BITS as u64) * HIST_SUB) as usize;
 
 #[inline]
@@ -148,7 +148,7 @@ fn hist_bucket_mid(idx: usize) -> u64 {
 
 /// A log-bucketed histogram of `u64` samples (typically nanoseconds).
 ///
-/// Buckets are base-2 logarithmic with [`HIST_SUB`] sub-buckets per octave
+/// Buckets are base-2 logarithmic with 8 sub-buckets per octave
 /// (HDR-histogram style), so quantile estimates carry at most ±6.25 %
 /// relative bucketing error while `record` stays O(1) and allocation-free
 /// after construction. `count`, `sum`, `min` and `max` are tracked exactly.
@@ -783,7 +783,7 @@ pub fn json_path_from_env() -> Option<String> {
 
 /// Resolve the JSONL sink shared by every binary: an explicit CLI value
 /// (`--obs-json PATH`) wins over `SKETCH_OBS_JSON`. The one place the
-/// precedence rule lives — `repro`, `sketchprof` and `benchgate` all call
+/// precedence rule lives — `repro` and `benchgate` both call
 /// this instead of re-implementing it.
 ///
 /// Sink semantics: the resolved file is **truncated and rewritten** on every

@@ -37,11 +37,10 @@ pub(crate) fn panel(cfg: &SketchConfig, j: usize, n1: usize) -> impl Iterator<It
     row_blocks(cfg).map(move |(i, d1)| OuterBlock { i, d1, j, n1 })
 }
 
-/// Enumerate Algorithm 1's blocks in its loop order (columns outermost).
-pub fn blocks(cfg: &SketchConfig, n: usize) -> Vec<OuterBlock> {
-    col_blocks(cfg.b_n, n)
-        .flat_map(|(j, n1)| panel(cfg, j, n1))
-        .collect()
+/// Enumerate Algorithm 1's blocks in its loop order (columns outermost),
+/// lazily: the count grows with `d·n`, so nothing collects them.
+pub fn blocks(cfg: &SketchConfig, n: usize) -> impl Iterator<Item = OuterBlock> + '_ {
+    col_blocks(cfg.b_n, n).flat_map(|(j, n1)| panel(cfg, j, n1))
 }
 
 /// Drive a compute kernel over Algorithm 1's blocks.
@@ -95,7 +94,7 @@ mod tests {
     #[test]
     fn blocks_tile_exactly() {
         let cfg = SketchConfig::new(10, 4, 3, 0);
-        let bs = blocks(&cfg, 7);
+        let bs: Vec<_> = blocks(&cfg, 7).collect();
         // 3 column blocks (3,3,1) × 3 row blocks (4,4,2).
         assert_eq!(bs.len(), 9);
         let total: usize = bs.iter().map(|b| b.d1 * b.n1).sum();
@@ -114,9 +113,8 @@ mod tests {
     #[test]
     fn blocks_disjoint() {
         let cfg = SketchConfig::new(9, 2, 2, 0);
-        let bs = blocks(&cfg, 5);
         let mut covered = [false; 9 * 5];
-        for b in bs {
+        for b in blocks(&cfg, 5) {
             for di in 0..b.d1 {
                 for dj in 0..b.n1 {
                     let cell = (b.i + di) * 5 + (b.j + dj);
@@ -131,7 +129,7 @@ mod tests {
     #[test]
     fn single_block_when_sizes_exceed_dims() {
         let cfg = SketchConfig::new(5, 100, 100, 0);
-        let bs = blocks(&cfg, 3);
+        let bs: Vec<_> = blocks(&cfg, 3).collect();
         assert_eq!(bs.len(), 1);
         assert_eq!(
             bs[0],
@@ -147,7 +145,7 @@ mod tests {
     #[test]
     fn empty_matrix_no_blocks() {
         let cfg = SketchConfig::new(5, 2, 2, 0);
-        assert!(blocks(&cfg, 0).is_empty());
+        assert_eq!(blocks(&cfg, 0).count(), 0);
     }
 
     #[test]
@@ -155,6 +153,6 @@ mod tests {
         let cfg = SketchConfig::new(6, 5, 2, 0);
         let mut seen = Vec::new();
         drive(&cfg, 4, |b| seen.push(b));
-        assert_eq!(seen, blocks(&cfg, 4));
+        assert!(seen.into_iter().eq(blocks(&cfg, 4)));
     }
 }

@@ -266,6 +266,40 @@ mod tests {
         assert_eq!(alg4_samples_actual(&blocked, 5), 0);
     }
 
+    /// The Tables III/V claim: Algorithm 4 draws `d` samples per nonempty
+    /// (row, vertical block) pair, counted here straight from the CSC.
+    #[test]
+    fn samples_are_d_per_nonempty_row_block() {
+        // A pattern-only operand: 600 unit entries at LCG-drawn positions.
+        let mut state = 3u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 11
+        };
+        let mut coo = sparsekit::CooMatrix::new(200, 80);
+        for _ in 0..600 {
+            let (r, c) = (next() % 200, next() % 80);
+            coo.push(r as usize, c as usize, 1.0).unwrap();
+        }
+        let a = coo.to_csc().unwrap();
+        let d = 13;
+        for b_n in [1, 7, 20, 80, 200] {
+            let mut pairs = std::collections::HashSet::new();
+            for j in 0..a.ncols() {
+                for &r in a.col(j).0 {
+                    pairs.insert((r, j / b_n));
+                }
+            }
+            assert_eq!(
+                pairs.len() as u64 * d as u64,
+                alg4_samples_actual(&BlockedCsr::from_csc(&a, b_n), d),
+                "b_n = {b_n}"
+            );
+        }
+    }
+
     #[test]
     fn block_width_one_equals_alg3_sample_count() {
         // With b_n = 1, every (nonempty row, block) pair is exactly one

@@ -72,7 +72,6 @@ pub mod model;
 pub mod multi;
 pub mod obs;
 pub mod parallel;
-pub mod pattern_model;
 pub mod robust;
 
 pub use alg3::{sketch_alg3, sketch_alg3_signs};
@@ -84,7 +83,6 @@ pub use model::{CostModel, ModelPrediction};
 pub use multi::{sketch_alg3_multi, try_sketch_alg3_multi};
 pub use obs::TrafficReport;
 pub use parallel::{sketch_alg3_par_cols, sketch_alg3_par_rows, sketch_alg4_par_rows};
-pub use pattern_model::{predict_kernels, profile_pattern, tune_b_n, KernelCosts, PatternProfile};
 pub use robust::{
     plan_blocks, try_sketch_alg3, try_sketch_alg3_par_cols, BudgetPlan, FaultSampler,
 };

@@ -93,13 +93,23 @@ pub struct BudgetPlan {
 /// degradation path.
 pub fn plan_blocks<T: Scalar>(cfg: &SketchConfig, n: usize) -> Result<BudgetPlan, SketchError> {
     let word = std::mem::size_of::<T>() as u64;
-    let out_bytes = cfg.d as u64 * n as u64 * word;
     let threads = parkit::current_threads() as u64;
     let mut budget = memory_budget_bytes();
+    // An output too large to count in bytes fits no budget.
+    let Some(out_bytes) = (cfg.d as u64)
+        .checked_mul(n as u64)
+        .and_then(|v| v.checked_mul(word))
+    else {
+        return Err(SketchError::BudgetExceeded {
+            need_bytes: u64::MAX,
+            budget_bytes: budget,
+        });
+    };
     if faultkit::fire("sketch/alloc") {
         // Simulated allocation failure: leave just enough beyond the output
         // for a b_n=1 working set, forcing the degradation path.
-        budget = budget.min(out_bytes + threads * cfg.b_d as u64 * word + 1);
+        let b_n1 = threads.saturating_mul(cfg.b_d as u64).saturating_mul(word);
+        budget = budget.min(out_bytes.saturating_add(b_n1).saturating_add(1));
     }
     if out_bytes > budget {
         return Err(SketchError::BudgetExceeded {
@@ -109,12 +119,17 @@ pub fn plan_blocks<T: Scalar>(cfg: &SketchConfig, n: usize) -> Result<BudgetPlan
     }
     let (mut b_d, mut b_n) = (cfg.b_d, cfg.b_n);
     let mut degraded = 0u32;
-    let working = |b_d: usize, b_n: usize| threads * (b_d as u64 * b_n as u64) * word;
+    let working = |b_d: usize, b_n: usize| {
+        threads
+            .saturating_mul(b_d as u64)
+            .saturating_mul(b_n as u64)
+            .saturating_mul(word)
+    };
     // Halve b_n first: the RNG checkpoints are addressed by (i / b_d, k), so
     // b_n does not enter the stream derivation and the degraded sketch is
     // bitwise identical. Shrinking b_d is the last resort — it re-realizes S
     // (the paper's reproducibility caveat), still a valid sketch.
-    while out_bytes + working(b_d, b_n) > budget && (b_d > 1 || b_n > 1) {
+    while out_bytes.saturating_add(working(b_d, b_n)) > budget && (b_d > 1 || b_n > 1) {
         if b_n > 1 {
             b_n /= 2;
         } else {
@@ -125,7 +140,7 @@ pub fn plan_blocks<T: Scalar>(cfg: &SketchConfig, n: usize) -> Result<BudgetPlan
     if degraded > 0 {
         obskit::add(obskit::Ctr::BudgetDegradedBlocks, degraded as u64);
     }
-    let need_bytes = out_bytes + working(b_d, b_n);
+    let need_bytes = out_bytes.saturating_add(working(b_d, b_n));
     if need_bytes > budget {
         return Err(SketchError::BudgetExceeded {
             need_bytes,

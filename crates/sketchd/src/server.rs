@@ -5,7 +5,7 @@
 //! * One **acceptor** thread blocks on [`std::net::TcpListener::accept`]
 //!   and spawns a connection thread per client.
 //! * One **connection** thread per client frames requests off the socket
-//!   ([`proto::FrameReader`] with a short read timeout so it can poll the
+//!   ([`crate::proto::FrameReader`] with a short read timeout so it can poll the
 //!   shutdown flag), answers `Health`/`Stats`/`Shutdown` inline, and
 //!   pushes work ops (`LoadMatrix`/`Sketch`/`SolveSap`) onto the shared
 //!   queue under admission control.
@@ -280,11 +280,6 @@ impl Server {
         for h in handles {
             let _ = h.join();
         }
-    }
-
-    /// `true` once shutdown has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutting_down()
     }
 }
 
@@ -635,13 +630,18 @@ fn execute_sketch_batch(shared: &Arc<Shared>, mut batch: Vec<Job>) {
         }
     };
     let (d, n) = (req0.d as usize, a.ncols());
-    // Output budget gate: the batch materializes batch×d×n doubles.
-    let out_bytes = 8u64 * d as u64 * n as u64 * batch.len() as u64;
-    if out_bytes > sketchcore::robust::memory_budget_bytes() {
+    // Output budget gate: the batch materializes batch×d×n doubles. A
+    // product past u64 is over any budget.
+    let out_bytes = 8u64
+        .checked_mul(d as u64)
+        .and_then(|b| b.checked_mul(n as u64))
+        .and_then(|b| b.checked_mul(batch.len() as u64));
+    if out_bytes.is_none_or(|b| b > sketchcore::robust::memory_budget_bytes()) {
+        let size = out_bytes.map_or_else(|| "more than u64::MAX".into(), |b| b.to_string());
         for j in &batch {
             j.reply_error(
                 Status::Overloaded,
-                &format!("sketch output ({out_bytes} B) exceeds the memory budget"),
+                &format!("sketch output ({size} B) exceeds the memory budget"),
             );
         }
         return;
@@ -767,6 +767,7 @@ fn execute_solve(shared: &Arc<Shared>, job: Job) {
                 SolveError::DimensionMismatch { .. }
                 | SolveError::RankDeficient { .. }
                 | SolveError::Sketch(SketchError::InvalidInput(_)) => Status::BadRequest,
+                SolveError::Sketch(SketchError::BudgetExceeded { .. }) => Status::Overloaded,
                 _ => Status::Internal,
             };
             job.reply_error(status, &e.to_string());

@@ -468,6 +468,21 @@ fn bad_requests_get_typed_frames_and_the_connection_survives() {
         c.sketch("fine", 4, 2, 2, 1, 0, 0),
         Ok(SketchResult::Full { .. })
     ));
+    // A sketch whose output size overflows u64 bytes is over budget, not a
+    // wrapped small size: the server answers and stays up.
+    let err = c
+        .sketch("fine", 1 << 61, 4, 4, 1, 0, 0)
+        .expect_err("d = 2^61");
+    assert_eq!(err.status(), Some(Status::Overloaded));
+    c.health().expect("health after an oversized sketch");
+    // Likewise a γ whose sketch cannot fit, however d = γ·n would wrap.
+    for gamma in [1u64 << 40, 1 << 58, 1 << 62, u64::MAX / 3] {
+        let err = c
+            .solve_sap("fine", gamma, 1, vec![1.0; 8], 0)
+            .expect_err("oversized gamma");
+        assert_eq!(err.status(), Some(Status::Overloaded), "gamma = {gamma}");
+    }
+    c.health().expect("health after oversized solves");
     c.shutdown().expect("shutdown");
     server.join();
 }

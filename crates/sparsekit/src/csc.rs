@@ -259,21 +259,6 @@ impl<T: Scalar> CscMatrix<T> {
         )
     }
 
-    /// Extract the column range `[j0, j1)` as a standalone CSC matrix (used
-    /// by tests and by the blocked construction).
-    pub fn col_range(&self, j0: usize, j1: usize) -> CscMatrix<T> {
-        assert!(j0 <= j1 && j1 <= self.ncols);
-        let base = self.col_ptr[j0];
-        let col_ptr: Vec<usize> = self.col_ptr[j0..=j1].iter().map(|&p| p - base).collect();
-        CscMatrix::from_parts_unchecked(
-            self.nrows,
-            j1 - j0,
-            col_ptr,
-            self.row_idx[base..self.col_ptr[j1]].to_vec(),
-            self.values[base..self.col_ptr[j1]].to_vec(),
-        )
-    }
-
     /// Scale every stored value by `s` in place (used by the scaling trick:
     /// compute `(S·f)(A/f)`).
     pub fn scale_values(&mut self, s: T) {
@@ -318,61 +303,6 @@ impl<T: Scalar> CscMatrix<T> {
             seen[r] = true;
         }
         (0..self.nrows).filter(|&i| !seen[i]).collect()
-    }
-
-    /// Drop the listed columns (e.g. the paper removes 158 empty columns
-    /// from "specular"). Indices must be sorted ascending and unique.
-    pub fn drop_cols(&self, cols: &[usize]) -> CscMatrix<T> {
-        debug_assert!(cols.windows(2).all(|w| w[0] < w[1]));
-        let keep: Vec<usize> = {
-            let mut mask = vec![true; self.ncols];
-            for &c in cols {
-                mask[c] = false;
-            }
-            (0..self.ncols).filter(|&j| mask[j]).collect()
-        };
-        let mut col_ptr = Vec::with_capacity(keep.len() + 1);
-        col_ptr.push(0);
-        let mut row_idx = Vec::new();
-        let mut values = Vec::new();
-        for &j in &keep {
-            let (rows, vals) = self.col(j);
-            row_idx.extend_from_slice(rows);
-            values.extend_from_slice(vals);
-            col_ptr.push(row_idx.len());
-        }
-        CscMatrix::from_parts_unchecked(self.nrows, keep.len(), col_ptr, row_idx, values)
-    }
-
-    /// Drop the listed rows (sorted ascending, unique), renumbering the rest.
-    pub fn drop_rows(&self, rows_to_drop: &[usize]) -> CscMatrix<T> {
-        debug_assert!(rows_to_drop.windows(2).all(|w| w[0] < w[1]));
-        let mut remap = vec![usize::MAX; self.nrows];
-        let mut drop_iter = rows_to_drop.iter().peekable();
-        let mut next = 0usize;
-        for (i, slot) in remap.iter_mut().enumerate() {
-            if drop_iter.peek() == Some(&&i) {
-                drop_iter.next();
-            } else {
-                *slot = next;
-                next += 1;
-            }
-        }
-        let mut col_ptr = Vec::with_capacity(self.ncols + 1);
-        col_ptr.push(0);
-        let mut row_idx = Vec::new();
-        let mut values = Vec::new();
-        for j in 0..self.ncols {
-            let (rows, vals) = self.col(j);
-            for (&r, &v) in rows.iter().zip(vals.iter()) {
-                if remap[r] != usize::MAX {
-                    row_idx.push(remap[r]);
-                    values.push(v);
-                }
-            }
-            col_ptr.push(row_idx.len());
-        }
-        CscMatrix::from_parts_unchecked(next, self.ncols, col_ptr, row_idx, values)
     }
 
     /// Dense row-major expansion (tests and small examples only).
@@ -485,21 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn col_range_slices() {
-        let a = small();
-        let sub = a.col_range(1, 3);
-        assert_eq!(sub.ncols(), 2);
-        assert_eq!(sub.get(1, 0), 3.0); // old column 1
-        assert_eq!(sub.get(2, 1), 5.0); // old column 2
-        assert_eq!(sub.nnz(), 3);
-
-        // Degenerate empty range.
-        let empty = a.col_range(2, 2);
-        assert_eq!(empty.ncols(), 0);
-        assert_eq!(empty.nnz(), 0);
-    }
-
-    #[test]
     fn identity_and_zeros() {
         let i3 = CscMatrix::<f64>::identity(3);
         let x = [1.0, 2.0, 3.0];
@@ -530,21 +445,6 @@ mod tests {
         let a = coo.to_csc().unwrap();
         assert_eq!(a.empty_cols(), vec![1, 2, 3]);
         assert_eq!(a.empty_rows(), vec![1, 2]);
-    }
-
-    #[test]
-    fn drop_cols_and_rows() {
-        let a = small();
-        let b = a.drop_cols(&[1]);
-        assert_eq!(b.ncols(), 2);
-        assert_eq!(b.get(0, 0), 1.0);
-        assert_eq!(b.get(0, 1), 2.0);
-
-        let c = a.drop_rows(&[1]);
-        assert_eq!(c.nrows(), 2);
-        assert_eq!(c.get(0, 0), 1.0);
-        assert_eq!(c.get(1, 0), 4.0); // old row 2 renumbered to 1
-        assert_eq!(c.get(1, 2), 5.0);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //! * [`CooMatrix`] — triplet builder format.
 //! * [`CscMatrix`] / [`CsrMatrix`] — compressed column / row storage with
-//!   validation, slicing, transposition and reference SpMV/SpMM.
+//!   validation, transposition and reference SpMV/SpMM.
 //! * [`BlockedCsr`] — Algorithm 4's structure, with sequential and parallel
 //!   (parkit) construction from CSC; construction cost matches the paper's
 //!   `O(⌈n/b_n⌉·m + nnz(A))` analysis and is measured by `repro table4`
@@ -29,7 +29,6 @@ pub mod csr;
 pub mod io;
 pub mod scalar;
 pub mod spy;
-pub mod stats;
 pub(crate) mod validate;
 
 pub use blocked::BlockedCsr;

@@ -13,7 +13,8 @@
 use datagen::lsq::{tall_conditioned, CondSpec};
 use datagen::make_rhs;
 use lstsq::{
-    backward_error, solve_lsqr_d, solve_sap, sparse_qr_solve, LsqrOptions, SapFlavor, SapOptions,
+    backward_error, solve_lsqr_d, sparse_qr_solve, try_solve_sap, LsqrOptions, SapFlavor,
+    SapOptions,
 };
 
 fn main() {
@@ -46,7 +47,7 @@ fn main() {
     );
 
     // 2. SAP-QR: sketch to d = 2n, factor, precondition.
-    let sap = solve_sap(
+    let sap = try_solve_sap(
         &a,
         &b,
         &SapOptions {
@@ -57,7 +58,8 @@ fn main() {
             flavor: SapFlavor::Qr,
             lsqr: opts,
         },
-    );
+    )
+    .expect("SAP converges");
     println!(
         "SAP-QR:    {:.3}s total (sketch {:.3}s, factor {:.3}s, LSQR {:.3}s), {} iterations, backward error {:.2e}",
         sap.total_s,

@@ -4,7 +4,8 @@
 #   scripts/verify.sh
 #
 # Builds the whole workspace in release mode, runs every test, then holds
-# the code to clippy -D warnings and rustfmt. Fails fast on the first error.
+# the code to clippy -D warnings, rustdoc -D warnings and rustfmt. Fails
+# fast on the first error.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,6 +30,9 @@ echo "== clippy lint gate: no unwrap/expect on library paths =="
 for c in sparsekit densekit rngkit obskit parkit faultkit sketchcore lstsq datagen sketchd; do
   cargo clippy -q -p "$c" --lib -- -D clippy::unwrap_used -D clippy::expect_used
 done
+
+echo "== rustdoc (-D warnings: dangling intra-doc links fail) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "== rustfmt check =="
 cargo fmt --all -- --check

@@ -5,7 +5,8 @@ use baselines::{csc_outer, eigen_style, materialize_s, mkl_style, pregen_blocked
 use datagen::lsq::{tall_conditioned, CondSpec};
 use datagen::{abnormal_a, abnormal_c, make_rhs, spmm_suite, uniform_random};
 use lstsq::{
-    backward_error, solve_lsqr_d, solve_sap, sparse_qr_solve, LsqrOptions, SapFlavor, SapOptions,
+    backward_error, solve_lsqr_d, sparse_qr_solve, try_solve_sap, LsqrOptions, SapFlavor,
+    SapOptions,
 };
 use parkit::with_threads;
 use rngkit::{FastRng, Rademacher, UnitUniform};
@@ -120,7 +121,7 @@ fn full_sap_pipeline_all_three_solvers_agree() {
     };
 
     let (x_d, _) = solve_lsqr_d(&a, &b, &opts);
-    let sap = solve_sap(
+    let sap = try_solve_sap(
         &a,
         &b,
         &SapOptions {
@@ -131,7 +132,8 @@ fn full_sap_pipeline_all_three_solvers_agree() {
             flavor: SapFlavor::Qr,
             lsqr: opts,
         },
-    );
+    )
+    .expect("SAP converges");
     let qr = sparse_qr_solve(&a, &b);
 
     for (name, x) in [("lsqr-d", &x_d), ("sap", &sap.x), ("direct", &qr.x)] {
@@ -155,7 +157,7 @@ fn full_sap_pipeline_all_three_solvers_agree() {
 fn sap_svd_handles_numerically_rank_deficient_input() {
     let a = tall_conditioned(2_000, 64, 0.02, CondSpec::deficient(14.0, 1.3), 6);
     let (b, _) = make_rhs(&a, 2);
-    let sap = solve_sap(
+    let sap = try_solve_sap(
         &a,
         &b,
         &SapOptions {
@@ -166,7 +168,8 @@ fn sap_svd_handles_numerically_rank_deficient_input() {
             flavor: SapFlavor::Svd,
             lsqr: LsqrOptions::default(),
         },
-    );
+    )
+    .expect("SAP converges");
     assert!(sap.rank < 64, "deficiency not detected (rank {})", sap.rank);
     assert!(backward_error(&a, &sap.x, &b) < 1e-8);
     assert!(sap.x.iter().all(|v| v.is_finite()));

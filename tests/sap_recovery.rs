@@ -207,3 +207,25 @@ fn sap_with_a_factor_worker_fault_recovers_or_fails_typed() {
         }
     }
 }
+
+#[test]
+fn oversized_gamma_is_a_typed_budget_error() {
+    // The serving layer's SolveSap shape. No γ here can fit the sketch in
+    // memory, and none may wrap d = γ·n to a size that does.
+    let _serial = serial();
+    let a = datagen::uniform_random::<f64>(2_400, 40, 0.05, 1);
+    let (b, _) = make_rhs(&a, 2);
+    for gamma in [1usize << 40, 1 << 58, 1 << 62, usize::MAX / 3] {
+        let opts = SapOptions {
+            gamma,
+            ..opts(SapFlavor::Qr)
+        };
+        let (a2, b2) = (a.clone(), b.clone());
+        let what = format!("gamma = {gamma}");
+        let out = within(30, &what, move || try_solve_sap(&a2, &b2, &opts));
+        match out.unwrap_or_else(|msg| panic!("{what}: panicked through: {msg}")) {
+            Err(SolveError::Sketch(SketchError::BudgetExceeded { .. })) => {}
+            other => panic!("{what}: expected BudgetExceeded, got {other:?}"),
+        }
+    }
+}
