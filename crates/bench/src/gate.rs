@@ -8,12 +8,13 @@
 //! * [`suite`] builds a fixed set of scenarios — Algorithm 3/4 sketches at
 //!   several shapes, SAP-QR's Householder factor of a 2n×n sketch (scaled,
 //!   and at Table IX's 1200×600 at every scale), its `R⁻¹`/`R⁻ᵀ`
-//!   preconditioner pair, an LSQR and an LSMR solve, and a SAP end-to-end
-//!   run at smoke scale.
+//!   preconditioner pair, LSQR-D solves, and a SAP end-to-end run at smoke
+//!   scale.
 //! * [`run_suite`] times each scenario `reps` times with [`obskit::reset`]
-//!   between repetitions (so counters and spans describe exactly one
+//!   between repetitions (so counters and histograms describe exactly one
 //!   execution), snapshots the deterministic work counters, and summarizes
-//!   the per-block latency histograms.
+//!   the latency histograms of every span and kernel block path (so
+//!   `sap_e2e` splits into SAP's sketch, factor and solve stages).
 //! * [`Baseline`] embeds a run manifest — git SHA, suite seed, scale,
 //!   the build and host identity (rustc, compile-time and runtime CPU
 //!   features, CPU brand, core count), cargo features, an obskit counter
@@ -39,8 +40,8 @@ use datagen::lsq::{tall_conditioned, CondSpec};
 use datagen::make_rhs;
 use densekit::{householder_qr_r, Matrix};
 use lstsq::{
-    lsmr, solve_lsqr_d, try_solve_sap, CscOp, LsmrOptions, LsqrOptions, Preconditioner, SapFlavor,
-    SapOptions, UpperTriPrecond,
+    solve_lsqr_d, try_solve_sap, LsqrOptions, Preconditioner, SapFlavor, SapOptions,
+    UpperTriPrecond,
 };
 use obskit::{Ctr, CTR_NAMES, NCTR};
 use rngkit::{u64_to_unit_f64, FastRng, Rademacher, UnitUniform, Xoshiro256PlusPlus};
@@ -117,6 +118,9 @@ fn dense_shape(a: &Matrix<f64>) -> String {
 
 /// Preconditioner pairs one `precond_pair` repetition runs.
 const PRECOND_PAIRS: usize = 200;
+/// LSQR-D solves one `lsqr_iter` repetition runs: one solve takes 0.1–0.2 ms
+/// at `--quick`, too short to time against the gate's threshold.
+const LSQR_SOLVES: usize = 20;
 
 /// The fixed scenario suite at `1/scale` of the gate's full sizes. All data
 /// and samplers derive from [`SUITE_SEED`], so the work each scenario does
@@ -257,7 +261,8 @@ pub fn suite(scale: usize) -> Vec<Scenario> {
         });
     }
 
-    // LSQR with diagonal preconditioning on a conditioned tall problem.
+    // LSQR with diagonal preconditioning on a conditioned tall problem,
+    // repeated so one repetition is long enough to time.
     let a_lsq = tall_conditioned(
         div(6000, scale),
         div(128, scale),
@@ -271,7 +276,7 @@ pub fn suite(scale: usize) -> Vec<Scenario> {
         out.push(Scenario {
             name: "lsqr_iter",
             kernel: "lsqr_d",
-            shape: shape_of(&a),
+            shape: format!("{}, {LSQR_SOLVES} solves", shape_of(&a)),
             run: Box::new(move || {
                 let opts = LsqrOptions {
                     atol: 1e-12,
@@ -279,22 +284,9 @@ pub fn suite(scale: usize) -> Vec<Scenario> {
                     max_iters: 10_000,
                     stall_window: 0,
                 };
-                std::hint::black_box(solve_lsqr_d(&a, &b, &opts));
-            }),
-        });
-    }
-
-    // LSMR on the same operator.
-    {
-        let (a, b) = (a_lsq.clone(), b_lsq.clone());
-        out.push(Scenario {
-            name: "lsmr_iter",
-            kernel: "lsmr",
-            shape: shape_of(&a),
-            run: Box::new(move || {
-                let mut op = CscOp::new(&a);
-                let opts = LsmrOptions::default();
-                std::hint::black_box(lsmr(&mut op, &b, &opts));
+                for _ in 0..LSQR_SOLVES {
+                    std::hint::black_box(solve_lsqr_d(&a, &b, &opts));
+                }
             }),
         });
     }
@@ -602,22 +594,12 @@ fn run_scenario_acc(
     })
 }
 
-// Fold snapshot `s` into `acc`: counters add, spans add per path, histograms
-// merge per path (exact — see `Hist::merge`), events concatenate. Used to
+// Fold snapshot `s` into `acc`: counters add, histograms merge per path (exact — see `Hist::merge`), events concatenate. Used to
 // build the suite-wide telemetry export out of per-scenario snapshots that
 // `run_scenario`'s reset-between-reps discipline would otherwise discard.
 fn merge_snapshot(acc: &mut obskit::Snapshot, s: &obskit::Snapshot) {
     for (slot, v) in s.counters.iter().enumerate() {
         acc.counters[slot] += v;
-    }
-    for (path, st) in &s.spans {
-        match acc.spans.iter_mut().find(|(p, _)| p == path) {
-            Some((_, e)) => {
-                e.ns += st.ns;
-                e.calls += st.calls;
-            }
-            None => acc.spans.push((path.clone(), *st)),
-        }
     }
     for (path, h) in &s.hists {
         match acc.hists.iter_mut().find(|(p, _)| p == path) {
@@ -662,7 +644,6 @@ pub fn run_suite_with_snapshot(
     match err {
         Some(e) => Err(e),
         None => {
-            acc.spans.sort_by(|a, b| a.0.cmp(&b.0));
             acc.hists.sort_by(|a, b| a.0.cmp(&b.0));
             Ok((results, acc))
         }
@@ -1350,13 +1331,14 @@ mod tests {
 
     #[test]
     fn merge_snapshot_adds_counters_spans_and_hists() {
-        use obskit::{Hist, SpanStat};
+        use obskit::Hist;
         let mut acc = obskit::Snapshot::default();
+        // A span's record is its histogram, so merging histograms merges
+        // spans too.
         let mut h1 = Hist::new();
         h1.record(100);
         let s1 = obskit::Snapshot {
-            spans: vec![("a".into(), SpanStat { ns: 10, calls: 1 })],
-            hists: vec![("h".into(), h1.clone())],
+            hists: vec![("lstsq/sap".into(), h1.clone())],
             counters: {
                 let mut c = [0; NCTR];
                 c[Ctr::Samples as usize] = 5;
@@ -1368,15 +1350,14 @@ mod tests {
         merge_snapshot(&mut acc, &s1);
         merge_snapshot(&mut acc, &s1);
         assert_eq!(acc.counters[Ctr::Samples as usize], 10);
-        assert_eq!(acc.spans[0].1, SpanStat { ns: 20, calls: 2 });
-        assert_eq!(acc.hists[0].1.count(), 2);
+        assert_eq!((acc.hists[0].1.count(), acc.hists[0].1.sum()), (2, 200));
         assert_eq!(acc.dropped_events, 2);
         // A second path lands as its own entry.
         let s2 = obskit::Snapshot {
-            spans: vec![("b".into(), SpanStat { ns: 7, calls: 1 })],
+            hists: vec![("b".into(), h1)],
             ..obskit::Snapshot::default()
         };
         merge_snapshot(&mut acc, &s2);
-        assert_eq!(acc.spans.len(), 2);
+        assert_eq!(acc.hists.len(), 2);
     }
 }

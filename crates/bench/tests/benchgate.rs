@@ -32,7 +32,7 @@ fn test_cfg() -> GateConfig {
 fn baseline_written_json_parses_back_identically() {
     let _g = lock();
     let base = record_baseline(&test_cfg()).expect("record");
-    assert_eq!(base.scenarios.len(), 12, "full suite recorded");
+    assert_eq!(base.scenarios.len(), 11, "full suite recorded");
     assert!(base.manifest.threads >= 1);
     assert_eq!(base.manifest.obskit_version, obskit::VERSION);
     assert_eq!(
@@ -56,6 +56,15 @@ fn baseline_written_json_parses_back_identically() {
             "alg3_tall records per-block histograms, got {:?}",
             alg3.hists
         );
+        // Spans are histograms, so the SAP scenario splits into its stages.
+        let sap = base.scenarios.iter().find(|s| s.name == "sap_e2e").unwrap();
+        for stage in ["lstsq/sap/sketch", "lstsq/sap/factor", "lstsq/sap/solve"] {
+            assert!(
+                sap.hists.iter().any(|h| h.path == stage && h.count == 1),
+                "sap_e2e records {stage} once, got {:?}",
+                sap.hists
+            );
+        }
     }
     let text = base.to_json();
     let back = Baseline::from_json(&text).expect("parse back what we wrote");

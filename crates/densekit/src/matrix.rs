@@ -17,11 +17,18 @@ pub struct Matrix<T> {
 
 impl<T: Scalar> Matrix<T> {
     /// An all-zero matrix.
+    ///
+    /// # Panics
+    ///
+    /// When `nrows · ncols` overflows `usize`.
     pub fn zeros(nrows: usize, ncols: usize) -> Self {
+        let Some(len) = nrows.checked_mul(ncols) else {
+            panic!("Matrix::zeros: {nrows}×{ncols} entries overflow usize");
+        };
         Self {
             nrows,
             ncols,
-            data: vec![T::ZERO; nrows * ncols],
+            data: vec![T::ZERO; len],
         }
     }
 

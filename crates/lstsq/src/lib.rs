@@ -20,7 +20,6 @@
 //! [`metrics`].
 
 pub mod error;
-pub mod lsmr;
 pub mod lsqr;
 pub mod metrics;
 pub mod op;
@@ -29,11 +28,10 @@ pub mod sap;
 pub mod sparse_qr;
 
 pub use error::SolveError;
-pub use lsmr::{lsmr, LsmrOptions, LsmrResult};
 pub use lsqr::{lsqr, LsqrOptions, LsqrResult, StopReason};
-pub use metrics::{backward_error, MemoryReport};
+pub use metrics::backward_error;
 pub use op::{CscOp, LinOp, PrecondOp};
-pub use precond::{DiagPrecond, IdentityPrecond, Preconditioner, SvdPrecond, UpperTriPrecond};
+pub use precond::{DiagPrecond, Preconditioner, SvdPrecond, UpperTriPrecond};
 pub use sap::{
     solve_lsqr_d, try_solve_sap, try_solve_sap_with, RecoveryPolicy, SapFlavor, SapOptions,
     SapReport,

@@ -85,18 +85,14 @@ fn scale_in_place(v: &mut [f64], s: f64) {
 
 /// Run LSQR on `op` with right-hand side `b`.
 ///
-/// When obskit telemetry is on, every `SKETCH_OBS_SOLVER_STRIDE`-th
-/// iteration (and the stopping one) is recorded as an `lsqr_iter` event
-/// carrying the iteration number, the relative normal-equation residual and
-/// the elapsed seconds — the convergence traces behind Table IX.
+/// When obskit telemetry is on, every iteration is recorded as an
+/// `lsqr_iter` event carrying the iteration number, the relative
+/// normal-equation residual and the elapsed seconds — the convergence traces
+/// behind Table IX.
 pub fn lsqr<A: LinOp>(op: &mut A, b: &[f64], opts: &LsqrOptions) -> LsqrResult {
     let _sp = obskit::span("lstsq/lsqr");
     let t_start = std::time::Instant::now();
-    let stride = if obskit::enabled() {
-        obskit::solver_event_stride()
-    } else {
-        0
-    };
+    let recording = obskit::enabled();
     let tracing = obskit::trace_enabled();
     let m = op.nrows();
     let n = op.ncols();
@@ -148,7 +144,7 @@ pub fn lsqr<A: LinOp>(op: &mut A, b: &[f64], opts: &LsqrOptions) -> LsqrResult {
 
     while iters < opts.max_iters {
         iters += 1;
-        let t_it = (stride > 0 || tracing).then(std::time::Instant::now);
+        let t_it = (recording || tracing).then(std::time::Instant::now);
 
         // Bidiagonalization step: β·u = A·v − α·u.
         op.apply(&v, &mut scratch_m);
@@ -218,7 +214,7 @@ pub fn lsqr<A: LinOp>(op: &mut A, b: &[f64], opts: &LsqrOptions) -> LsqrResult {
         };
         if let Some(t_it) = t_it {
             let dur_ns = t_it.elapsed().as_nanos() as u64;
-            if stride > 0 {
+            if recording {
                 obskit::hist_record_ns("lstsq/lsqr/iter", dur_ns);
             }
             if tracing {
@@ -232,8 +228,7 @@ pub fn lsqr<A: LinOp>(op: &mut A, b: &[f64], opts: &LsqrOptions) -> LsqrResult {
                 );
             }
         }
-        let last = stopping.is_some() || iters == opts.max_iters;
-        if stride > 0 && (last || (iters as u64).is_multiple_of(stride)) {
+        if recording {
             obskit::event(
                 "lsqr_iter",
                 vec![

@@ -1,4 +1,4 @@
-//! Solution-quality and memory metrics (paper Tables X and XI).
+//! The solution-quality metric of paper Table X.
 
 use sparsekit::CscMatrix;
 
@@ -27,33 +27,6 @@ pub fn backward_error(a: &CscMatrix<f64>, x: &[f64], b: &[f64]) -> f64 {
     a.spmv_t(&r, &mut atr);
     let atr_norm: f64 = atr.iter().map(|v| v * v).sum::<f64>().sqrt();
     atr_norm / (a.fro_norm() * rnorm)
-}
-
-/// Memory comparison row for Table XI, all in bytes.
-///
-/// Every field is `u64`: byte totals come from different sources (in-memory
-/// `usize` sizes, closed-form fill estimates) and a single width keeps the
-/// arithmetic between columns lossless on 32-bit hosts too.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MemoryReport {
-    /// SAP's extra memory (dense sketch + factor).
-    pub sap: u64,
-    /// Direct sparse QR's factor memory (R fill + Q rotations).
-    pub direct: u64,
-    /// The input matrix's own CSC storage.
-    pub mem_a: u64,
-}
-
-impl MemoryReport {
-    /// Megabytes, in the paper's reporting unit.
-    pub fn as_mbytes(&self) -> (f64, f64, f64) {
-        const MB: f64 = 1e6;
-        (
-            self.sap as f64 / MB,
-            self.direct as f64 / MB,
-            self.mem_a as f64 / MB,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -85,18 +58,5 @@ mod tests {
         // A perturbed point scores worse.
         let bad = [0.5, 0.1];
         assert!(backward_error(&a, &bad, &b) > 1e-2);
-    }
-
-    #[test]
-    fn memory_report_units() {
-        let r = MemoryReport {
-            sap: 2_000_000,
-            direct: 50_000_000,
-            mem_a: 1_500_000,
-        };
-        let (s, d, a) = r.as_mbytes();
-        assert!((s - 2.0).abs() < 1e-12);
-        assert!((d - 50.0).abs() < 1e-12);
-        assert!((a - 1.5).abs() < 1e-12);
     }
 }

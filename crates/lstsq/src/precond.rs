@@ -26,36 +26,6 @@ pub trait Preconditioner {
     fn memory_bytes(&self) -> usize;
 }
 
-/// The identity (plain LSQR).
-pub struct IdentityPrecond {
-    n: usize,
-}
-
-impl IdentityPrecond {
-    /// Identity on `R^n`.
-    pub fn new(n: usize) -> Self {
-        Self { n }
-    }
-}
-
-impl Preconditioner for IdentityPrecond {
-    fn input_dim(&self) -> usize {
-        self.n
-    }
-    fn output_dim(&self) -> usize {
-        self.n
-    }
-    fn apply(&self, y: &[f64], x: &mut [f64]) {
-        x.copy_from_slice(y);
-    }
-    fn apply_t(&self, x: &[f64], y: &mut [f64]) {
-        y.copy_from_slice(x);
-    }
-    fn memory_bytes(&self) -> usize {
-        0
-    }
-}
-
 /// Diagonal (column-equilibration) preconditioner.
 pub struct DiagPrecond {
     d: Vec<f64>,
@@ -298,14 +268,5 @@ mod tests {
         let lhs: f64 = my.iter().zip(x.iter()).map(|(a, b)| a * b).sum();
         let rhs: f64 = y.iter().zip(mtx.iter()).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-10 * lhs.abs().max(1.0));
-    }
-
-    #[test]
-    fn identity_precond_is_noop() {
-        let m = IdentityPrecond::new(3);
-        let mut x = [0.0; 3];
-        m.apply(&[1.0, 2.0, 3.0], &mut x);
-        assert_eq!(x, [1.0, 2.0, 3.0]);
-        assert_eq!(m.memory_bytes(), 0);
     }
 }

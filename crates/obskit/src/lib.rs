@@ -6,14 +6,16 @@
 //! cost model, Table IX tracks solver convergence. This crate is the one
 //! place all of that is recorded:
 //!
-//! * **Spans** — hierarchical wall-clock timers (`sketch/alg3/sample`),
-//!   accumulated per thread and merged into a global registry when worker
-//!   threads finish (parkit flushes at its join points) or on demand.
+//! * **Spans** — hierarchical wall-clock timers (`lstsq/sap/factor`) whose
+//!   every duration lands in the path's histogram: a span has no record of
+//!   its own.
+//! * **Histograms** — log-bucketed latency distributions ([`Hist`],
+//!   [`hist_record_ns`]) per path, with exact count and total plus
+//!   p50/p90/p99 and MAD, accumulated per thread and merged into a global
+//!   registry when worker threads finish (parkit flushes at its join points)
+//!   or on demand.
 //! * **Counters** — typed tallies of samples drawn, `set_state` seeks,
 //!   flops, and bytes moved, bumped at *block* granularity by the kernels.
-//! * **Histograms** — log-bucketed latency distributions ([`Hist`],
-//!   [`hist_record_ns`]): p50/p90/p99 and MAD per span path, not just
-//!   totals, accumulated per thread and merged at flush like the counters.
 //! * **Events** — per-iteration solver records (iteration, relative
 //!   residual, elapsed seconds) and free-form records like the
 //!   measured-vs-model traffic comparison.
@@ -57,7 +59,7 @@ pub enum Ctr {
     BytesA = 3,
     /// Bytes of the output `Â` moved (read + write at block granularity).
     BytesOut = 4,
-    /// Solver iterations performed (LSQR/LSMR).
+    /// Solver iterations performed (LSQR).
     SolverIters = 5,
     /// Self-healing SAP: recovery attempts (re-sketch with escalated γ).
     SapRetries = 6,
@@ -399,15 +401,6 @@ fn epoch() -> Instant {
 
 // --- global registry ---------------------------------------------------
 
-/// Accumulated statistics of one span path.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SpanStat {
-    /// Total nanoseconds inside the span.
-    pub ns: u64,
-    /// Number of completed span instances.
-    pub calls: u64,
-}
-
 /// One recorded event: a kind tag plus typed fields.
 #[derive(Clone, Debug)]
 pub struct Event {
@@ -435,7 +428,6 @@ pub enum Value {
 }
 
 struct Registry {
-    spans: Mutex<HashMap<&'static str, SpanStat>>,
     hists: Mutex<HashMap<&'static str, Hist>>,
     counters: [AtomicU64; NCTR],
     events: Mutex<Vec<Event>>,
@@ -454,7 +446,6 @@ pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 fn registry() -> &'static Registry {
     static REG: OnceLock<Registry> = OnceLock::new();
     REG.get_or_init(|| Registry {
-        spans: Mutex::new(HashMap::new()),
         hists: Mutex::new(HashMap::new()),
         counters: std::array::from_fn(|_| AtomicU64::new(0)),
         events: Mutex::new(Vec::new()),
@@ -467,7 +458,6 @@ fn registry() -> &'static Registry {
 #[derive(Default)]
 struct Local {
     counters: [u64; NCTR],
-    spans: HashMap<&'static str, SpanStat>,
     hists: HashMap<&'static str, Hist>,
     ring: Option<trace::TraceRing>,
 }
@@ -479,14 +469,6 @@ impl Local {
             if *v != 0 {
                 reg.counters[slot].fetch_add(*v, Ordering::Relaxed);
                 *v = 0;
-            }
-        }
-        if !self.spans.is_empty() {
-            let mut g = lock_clean(&reg.spans);
-            for (path, s) in self.spans.drain() {
-                let e = g.entry(path).or_default();
-                e.ns += s.ns;
-                e.calls += s.calls;
             }
         }
         if !self.hists.is_empty() {
@@ -531,19 +513,6 @@ pub fn add(c: Ctr, n: u64) {
     with_local(|l| l.counters[c as usize] += n);
 }
 
-/// Record `ns` nanoseconds against span `path` without a guard.
-#[inline]
-pub fn span_add_ns(path: &'static str, ns: u64) {
-    if !enabled() {
-        return;
-    }
-    with_local(|l| {
-        let e = l.spans.entry(path).or_default();
-        e.ns += ns;
-        e.calls += 1;
-    });
-}
-
 /// Merge this thread's accumulators into the global registry now. parkit
 /// calls this at the end of every worker closure — the "merge at join
 /// points" contract — and it is harmless to call redundantly.
@@ -554,7 +523,8 @@ pub fn flush_thread() {
     with_local(|l| l.flush());
 }
 
-/// RAII span timer: time from construction to drop is added to `path`.
+/// RAII span timer: time from construction to drop is recorded into the
+/// histogram of `path` (see [`hist_record_ns`]).
 /// When the flight recorder is on (see [`trace`]), the same guard also
 /// emits a Begin event at construction and an End event at drop.
 #[must_use = "a span records on drop; binding it to _ discards the timing"]
@@ -574,7 +544,7 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(t0) = self.t0 {
-            span_add_ns(self.path, t0.elapsed().as_nanos() as u64);
+            hist_record_ns(self.path, t0.elapsed().as_nanos() as u64);
             if self.traced {
                 trace::end(self.path);
             }
@@ -619,97 +589,12 @@ pub fn event(kind: &'static str, fields: Vec<(&'static str, Value)>) {
     ev.push(Event { kind, ts, fields });
 }
 
-/// Stride for per-iteration solver events, from `SKETCH_OBS_SOLVER_STRIDE`
-/// (default 1: every iteration). Iteration `i` is recorded when
-/// `i % stride == 0` or the solver stops at `i`.
-pub fn solver_event_stride() -> u64 {
-    static STRIDE: OnceLock<u64> = OnceLock::new();
-    *STRIDE.get_or_init(|| {
-        std::env::var("SKETCH_OBS_SOLVER_STRIDE")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .filter(|&s| s > 0)
-            .unwrap_or(1)
-    })
-}
-
-// --- local accumulator for instrumented kernels ------------------------
-
-/// An always-on span/counter accumulator owned by one call frame.
-///
-/// The instrumented kernels must hand their measurements back to the caller
-/// (`SketchTiming`) even when the global gate is off, so they record into a
-/// `LocalSpans` unconditionally and [`LocalSpans::publish`] mirrors the
-/// totals into the global registry if telemetry is enabled. `SketchTiming`
-/// is then a *view* over these spans rather than a second implementation.
-#[derive(Clone, Debug, Default)]
-pub struct LocalSpans {
-    spans: Vec<(&'static str, SpanStat)>,
-    counters: [u64; NCTR],
-}
-
-impl LocalSpans {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add `ns` nanoseconds (one call) to `path`.
-    pub fn add_ns(&mut self, path: &'static str, ns: u64) {
-        match self.spans.iter_mut().find(|(p, _)| *p == path) {
-            Some((_, s)) => {
-                s.ns += ns;
-                s.calls += 1;
-            }
-            None => self.spans.push((path, SpanStat { ns, calls: 1 })),
-        }
-    }
-
-    /// Bump a counter.
-    pub fn count(&mut self, c: Ctr, n: u64) {
-        self.counters[c as usize] += n;
-    }
-
-    /// Total seconds recorded against `path` (0 if absent).
-    pub fn secs(&self, path: &str) -> f64 {
-        self.spans
-            .iter()
-            .find(|(p, _)| *p == path)
-            .map(|(_, s)| s.ns as f64 * 1e-9)
-            .unwrap_or(0.0)
-    }
-
-    /// Counter value.
-    pub fn counter(&self, c: Ctr) -> u64 {
-        self.counters[c as usize]
-    }
-
-    /// Mirror the totals into the global registry (if enabled).
-    pub fn publish(&self) {
-        if !enabled() {
-            return;
-        }
-        with_local(|l| {
-            for (path, s) in &self.spans {
-                let e = l.spans.entry(path).or_default();
-                e.ns += s.ns;
-                e.calls += s.calls;
-            }
-            for (slot, v) in self.counters.iter().enumerate() {
-                l.counters[slot] += v;
-            }
-        });
-    }
-}
-
 // --- snapshot & sinks --------------------------------------------------
 
 /// A point-in-time copy of everything recorded so far.
 #[derive(Clone, Debug, Default)]
 pub struct Snapshot {
-    /// Span statistics sorted by path.
-    pub spans: Vec<(String, SpanStat)>,
-    /// Histograms sorted by path.
+    /// Histograms (span and block paths) sorted by path.
     pub hists: Vec<(String, Hist)>,
     /// Counter values in [`Ctr`] slot order.
     pub counters: [u64; NCTR],
@@ -723,18 +608,12 @@ pub struct Snapshot {
 pub fn snapshot() -> Snapshot {
     flush_thread();
     let reg = registry();
-    let mut spans: Vec<(String, SpanStat)> = lock_clean(&reg.spans)
-        .iter()
-        .map(|(k, v)| (k.to_string(), *v))
-        .collect();
-    spans.sort_by(|a, b| a.0.cmp(&b.0));
     let mut hists: Vec<(String, Hist)> = lock_clean(&reg.hists)
         .iter()
         .map(|(k, v)| (k.to_string(), v.clone()))
         .collect();
     hists.sort_by(|a, b| a.0.cmp(&b.0));
     Snapshot {
-        spans,
         hists,
         counters: std::array::from_fn(|i| reg.counters[i].load(Ordering::Relaxed)),
         events: lock_clean(&reg.events).clone(),
@@ -742,7 +621,7 @@ pub fn snapshot() -> Snapshot {
     }
 }
 
-/// Clear all recorded spans, counters and events (calling thread flushed
+/// Clear all recorded histograms, counters and events (calling thread flushed
 /// and discarded first). Other threads' unflushed locals survive a reset.
 ///
 /// **Long-lived servers must not call this.** `reset()` exists for
@@ -761,11 +640,9 @@ pub fn reset() {
     }
     with_local(|l| {
         l.counters = [0; NCTR];
-        l.spans.clear();
         l.hists.clear();
     });
     let reg = registry();
-    lock_clean(&reg.spans).clear();
     lock_clean(&reg.hists).clear();
     for c in &reg.counters {
         c.store(0, Ordering::Relaxed);
@@ -874,7 +751,8 @@ impl Snapshot {
         std::array::from_fn(|i| self.counters[i].saturating_sub(base.counters[i]))
     }
 
-    /// Serialize as JSONL: one `meta` line, one line per span, one per
+    /// Serialize as JSONL: one `meta` line, one `hist` line per path (a
+    /// span's count and total are its `count` and `sum_ns`), one line per
     /// counter, one per event.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
@@ -884,14 +762,6 @@ impl Snapshot {
             env!("CARGO_PKG_VERSION"),
             self.dropped_events
         );
-        for (path, s) in &self.spans {
-            let mut line = String::from("{\"type\":\"span\",\"path\":\"");
-            json_escape(&mut line, path);
-            let _ = write!(line, "\",\"ns\":{},\"calls\":{},\"secs\":", s.ns, s.calls);
-            json_f64(&mut line, s.ns as f64 * 1e-9);
-            line.push('}');
-            let _ = writeln!(out, "{line}");
-        }
         for (path, h) in &self.hists {
             if h.is_empty() {
                 continue;
@@ -949,49 +819,45 @@ impl Snapshot {
         std::fs::write(path, self.to_jsonl())
     }
 
-    /// Human-readable summary: a span tree with times, histogram quantiles,
-    /// then counters.
+    /// Human-readable summary: one table of every histogram path, indented
+    /// by path depth, with count, total and p50/p90/p99; then the counters.
     pub fn summary(&self) -> String {
         let mut out = String::new();
-        if self.spans.is_empty() && self.hists.is_empty() && self.counters.iter().all(|&c| c == 0) {
+        if self.hists.iter().all(|(_, h)| h.is_empty()) && self.counters.iter().all(|&c| c == 0) {
             out.push_str("obskit: nothing recorded\n");
             return out;
         }
         let _ = writeln!(out, "── telemetry ───────────────────────────────");
         let width = self
-            .spans
+            .hists
             .iter()
             .map(|(p, _)| p.len() + 2 * p.matches('/').count())
             .max()
             .unwrap_or(8)
             .max(8);
-        for (path, s) in &self.spans {
-            let depth = path.matches('/').count();
-            let name = format!("{}{}", "  ".repeat(depth), path);
-            let _ = writeln!(
-                out,
-                "{name:<width$}  {:>12.6} s  ×{}",
-                s.ns as f64 * 1e-9,
-                s.calls
-            );
-        }
+        let _ = writeln!(
+            out,
+            "{:<width$}  {:>8}  {:>12}  {:>12}  {:>12}  {:>12}",
+            "path", "count", "total s", "p50 ns", "p90 ns", "p99 ns"
+        );
         for (path, h) in &self.hists {
             if h.is_empty() {
                 continue;
             }
+            let name = format!("{}{}", "  ".repeat(path.matches('/').count()), path);
             let _ = writeln!(
                 out,
-                "{path:<width$}  p50 {:>9.0} ns  p90 {:>9.0} ns  p99 {:>9.0} ns  mad {:>8.0} ns  ×{}",
+                "{name:<width$}  {:>8}  {:>12.6}  {:>12.0}  {:>12.0}  {:>12.0}",
+                h.count(),
+                h.sum() as f64 * 1e-9,
                 h.quantile(0.5),
                 h.quantile(0.9),
-                h.quantile(0.99),
-                h.mad(),
-                h.count()
+                h.quantile(0.99)
             );
         }
         for (slot, name) in CTR_NAMES.iter().enumerate() {
             if self.counters[slot] != 0 {
-                let _ = writeln!(out, "{name:<width$}  {:>12}", self.counters[slot]);
+                let _ = writeln!(out, "{name:<width$}  {:>8}", self.counters[slot]);
             }
         }
         if self.dropped_events > 0 {
@@ -1020,20 +886,22 @@ mod tests {
         add(Ctr::Samples, 10);
         add(Ctr::Samples, 5);
         add(Ctr::Seeks, 3);
-        span_add_ns("a/b", 1_000);
-        span_add_ns("a/b", 2_000);
-        span_add_ns("a", 5_000);
+        hist_record_ns("a/b", 1_000);
+        hist_record_ns("a/b", 2_000);
+        hist_record_ns("a", 5_000);
+        {
+            let _s = span("a/b");
+        }
         let s = snapshot();
         assert_eq!(s.counters[Ctr::Samples as usize], 15);
         assert_eq!(s.counters[Ctr::Seeks as usize], 3);
-        let ab = s.spans.iter().find(|(p, _)| p == "a/b").unwrap();
-        assert_eq!(
-            ab.1,
-            SpanStat {
-                ns: 3_000,
-                calls: 2
-            }
-        );
+        // A span's record is its histogram: the guard adds one more sample
+        // to the path the direct records went to.
+        let (_, ab) = s.hists.iter().find(|(p, _)| p == "a/b").unwrap();
+        assert_eq!(ab.count(), 3);
+        assert!(ab.sum() >= 3_000);
+        let (_, a) = s.hists.iter().find(|(p, _)| p == "a").unwrap();
+        assert_eq!((a.count(), a.sum()), (1, 5_000));
         reset();
         assert_eq!(snapshot().counters[Ctr::Samples as usize], 0);
     }
@@ -1045,7 +913,7 @@ mod tests {
         reset();
         set_enabled(false);
         add(Ctr::Flops, 100);
-        span_add_ns("x", 1);
+        hist_record_ns("x", 1);
         event("e", vec![("a", Value::U(1))]);
         {
             let _s = span("x/guard");
@@ -1053,7 +921,7 @@ mod tests {
         set_enabled(true);
         let s = snapshot();
         assert_eq!(s.counters[Ctr::Flops as usize], 0);
-        assert!(s.spans.is_empty());
+        assert!(s.hists.is_empty());
         assert!(s.events.is_empty());
     }
 
@@ -1067,9 +935,9 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         let s = snapshot();
-        let (_, stat) = s.spans.iter().find(|(p, _)| p == "t/sleepy").unwrap();
-        assert!(stat.ns >= 1_000_000, "slept 2ms but recorded {}ns", stat.ns);
-        assert_eq!(stat.calls, 1);
+        let (_, h) = s.hists.iter().find(|(p, _)| p == "t/sleepy").unwrap();
+        assert!(h.sum() >= 1_000_000, "slept 2ms but recorded {}ns", h.sum());
+        assert_eq!(h.count(), 1);
     }
 
     #[test]
@@ -1081,49 +949,15 @@ mod tests {
             for _ in 0..4 {
                 s.spawn(|| {
                     add(Ctr::Samples, 100);
-                    span_add_ns("par/task", 10);
+                    hist_record_ns("par/task", 10);
                     flush_thread();
                 });
             }
         });
         let s = snapshot();
         assert_eq!(s.counters[Ctr::Samples as usize], 400);
-        assert_eq!(
-            s.spans.iter().find(|(p, _)| p == "par/task").unwrap().1,
-            SpanStat { ns: 40, calls: 4 }
-        );
-    }
-
-    #[test]
-    fn local_spans_view_and_publish() {
-        let _g = lock();
-        set_enabled(true);
-        reset();
-        let mut l = LocalSpans::new();
-        l.add_ns("k/sample", 2_000_000_000);
-        l.add_ns("k/sample", 1_000_000_000);
-        l.count(Ctr::Seeks, 7);
-        assert!((l.secs("k/sample") - 3.0).abs() < 1e-12);
-        assert_eq!(l.secs("missing"), 0.0);
-        assert_eq!(l.counter(Ctr::Seeks), 7);
-        l.publish();
-        let s = snapshot();
-        assert_eq!(s.counters[Ctr::Seeks as usize], 7);
-        assert_eq!(
-            s.spans
-                .iter()
-                .find(|(p, _)| p == "k/sample")
-                .unwrap()
-                .1
-                .calls,
-            2
-        );
-        // Publishing while disabled leaves the registry untouched.
-        reset();
-        set_enabled(false);
-        l.publish();
-        set_enabled(true);
-        assert_eq!(snapshot().counters[Ctr::Seeks as usize], 0);
+        let (_, h) = s.hists.iter().find(|(p, _)| p == "par/task").unwrap();
+        assert_eq!((h.count(), h.sum()), (4, 40));
     }
 
     #[test]
@@ -1132,7 +966,7 @@ mod tests {
         set_enabled(true);
         reset();
         add(Ctr::Samples, 42);
-        span_add_ns("sketch/alg3", 1_500_000);
+        hist_record_ns("sketch/alg3", 1_500_000);
         event(
             "lsqr_iter",
             vec![
@@ -1147,7 +981,10 @@ mod tests {
         let text = snapshot().to_jsonl();
         let lines: Vec<&str> = text.lines().collect();
         assert!(lines[0].contains("\"type\":\"meta\""));
-        assert!(text.contains("\"type\":\"span\",\"path\":\"sketch/alg3\",\"ns\":1500000"));
+        assert!(text.contains(
+            "\"type\":\"hist\",\"path\":\"sketch/alg3\",\"count\":1,\"sum_ns\":1500000,"
+        ));
+        assert!(!text.contains("\"type\":\"span\""));
         assert!(text.contains("\"type\":\"counter\",\"name\":\"samples\",\"value\":42"));
         assert!(text.contains("\"kind\":\"lsqr_iter\""));
         assert!(text.contains("\"note\":\"a \\\"quoted\\\" str\""));
@@ -1203,11 +1040,11 @@ mod tests {
         let _g = lock();
         set_enabled(true);
         reset();
-        span_add_ns("sketch", 10);
-        span_add_ns("sketch/alg3", 10);
+        hist_record_ns("sketch", 10);
+        hist_record_ns("sketch/alg3", 10);
         let txt = snapshot().summary();
-        assert!(txt.contains("sketch"));
-        assert!(txt.contains("  sketch/alg3"));
+        assert!(txt.contains("\nsketch "));
+        assert!(txt.contains("\n  sketch/alg3 "));
         reset();
         assert!(snapshot().summary().contains("nothing recorded"));
     }
@@ -1241,11 +1078,6 @@ mod tests {
         let back = base.counters_since(&now);
         assert_eq!(back[Ctr::SvcAccepted as usize], 0);
         reset();
-    }
-
-    #[test]
-    fn solver_stride_defaults_to_one() {
-        assert!(solver_event_stride() >= 1);
     }
 
     // --- histogram unit tests -------------------------------------------

@@ -7,7 +7,7 @@
 //! CBRNGs as roughly 5x slower than xoshiro, which motivates the checkpointed
 //! xoshiro default.
 
-use crate::BlockRng;
+use crate::{BlockSampler, SampleCost};
 
 const PHILOX_M0: u32 = 0xD251_1F53;
 const PHILOX_M1: u32 = 0xCD9E_8D57;
@@ -38,22 +38,11 @@ pub fn philox4x32_10(mut ctr: [u32; 4], mut key: [u32; 2]) -> [u32; 4] {
     ctr
 }
 
-/// A Philox-4x32-10 generator exposing the [`BlockRng`] interface.
-///
-/// The counter layout dedicates `ctr[0..2]` to the `(block_row, col)`
-/// checkpoint coordinates and `ctr[2..4]` to the within-stream position, so
-/// each checkpoint owns a disjoint 2^64-word stream.
+/// A Philox-4x32-10 generator keyed by a seed: every output block is a
+/// pure function of `(key, row, col)`, read through [`Philox4x32::at`].
 #[derive(Clone, Copy, Debug)]
 pub struct Philox4x32 {
     key: [u32; 2],
-    /// Checkpoint half of the counter (set by `set_state`).
-    base: [u32; 2],
-    /// Within-stream block index.
-    pos: u64,
-    /// Buffered output words from the last block evaluation.
-    buf: [u32; 4],
-    /// Number of words of `buf` already consumed (4 = empty).
-    used: u8,
 }
 
 impl Philox4x32 {
@@ -62,10 +51,6 @@ impl Philox4x32 {
     pub fn new(seed: u64) -> Self {
         Self {
             key: [seed as u32, (seed >> 32) as u32],
-            base: [0, 0],
-            pos: 0,
-            buf: [0; 4],
-            used: 4,
         }
     }
 
@@ -84,70 +69,15 @@ impl Philox4x32 {
             self.key,
         )
     }
-
-    #[inline(always)]
-    fn refill(&mut self) {
-        self.buf = philox4x32_10(
-            [
-                self.base[0],
-                self.base[1],
-                self.pos as u32,
-                (self.pos >> 32) as u32,
-            ],
-            self.key,
-        );
-        self.pos = self.pos.wrapping_add(1);
-        self.used = 0;
-    }
-}
-
-impl BlockRng for Philox4x32 {
-    #[inline]
-    fn set_state(&mut self, block_row: usize, col: usize) {
-        // Mix the two coordinates into the checkpoint counter half. Philox is
-        // a strong PRF, so plain packing (not hashing) suffices — distinct
-        // coordinates give independent streams by construction.
-        self.base = [block_row as u32, col as u32];
-        // Fold coordinate overflow (beyond 2^32) into the position offset's
-        // high bits by advancing the key-free stream position base.
-        self.pos = ((block_row as u64) >> 32 << 32) ^ ((col as u64) >> 32);
-        self.pos <<= 1; // leave room so sequential refills never collide
-        self.used = 4;
-    }
-
-    #[inline(always)]
-    fn next_u64(&mut self) -> u64 {
-        if self.used >= 3 {
-            if self.used == 3 {
-                // Cross-block pair: take last word + first of next block.
-                let lo = self.buf[3] as u64;
-                self.refill();
-                let hi = self.buf[0] as u64;
-                self.used = 1;
-                return (hi << 32) | lo;
-            }
-            self.refill();
-        }
-        let lo = self.buf[self.used as usize] as u64;
-        let hi = self.buf[self.used as usize + 1] as u64;
-        self.used += 2;
-        (hi << 32) | lo
-    }
-
-    #[inline(always)]
-    fn next_u32(&mut self) -> u32 {
-        if self.used >= 4 {
-            self.refill();
-        }
-        let w = self.buf[self.used as usize];
-        self.used += 1;
-        w
-    }
 }
 
 /// A sampler wrapper that generates entries of `S` *fully per-coordinate*
-/// (one Philox block evaluation per 4 entries of a column), giving sketches
+/// (one Philox block evaluation per 2 entries of a column), giving sketches
 /// that are bit-identical for every blocking and thread count.
+///
+/// As a [`BlockSampler`], `set_state(block_row, col)` takes the block's
+/// *global row offset* — what the kernels pass — which is exactly the
+/// coordinate a counter-based generator needs for blocking independence.
 #[derive(Clone, Copy, Debug)]
 pub struct PhiloxSampler {
     rng: Philox4x32,
@@ -201,6 +131,34 @@ impl PhiloxSampler {
     }
 }
 
+impl BlockSampler<f64> for PhiloxSampler {
+    fn set_state(&mut self, block_row: usize, col: usize) {
+        self.seek(block_row, col);
+    }
+
+    fn fill(&mut self, out: &mut [f64]) {
+        self.fill_unit_f64(out);
+    }
+
+    fn fill_axpy(&mut self, coeff: f64, out: &mut [f64]) {
+        let mut tile = [0.0f64; 64];
+        for chunk in out.chunks_mut(64) {
+            let t = &mut tile[..chunk.len()];
+            self.fill_unit_f64(t);
+            for (o, &s) in chunk.iter_mut().zip(t.iter()) {
+                *o = coeff.mul_add(s, *o);
+            }
+        }
+    }
+
+    fn cost(&self) -> SampleCost {
+        SampleCost {
+            words_per_sample: 1.0,
+            label: "philox-4x32-10 unit uniform",
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,38 +201,23 @@ mod tests {
 
     #[test]
     fn block_rng_reseek_replays() {
-        let mut g = Philox4x32::new(1234);
+        // Through the kernels' sampler interface: re-seeking the same
+        // checkpoint replays the same samples, plain and fused.
+        let mut g = PhiloxSampler::new(1234);
+        let mut a = vec![0.0; 100];
         g.set_state(3, 17);
-        let a: Vec<u64> = (0..16).map(|_| g.next_u64()).collect();
+        g.fill(&mut a);
         g.set_state(5, 1); // move elsewhere
-        let _ = g.next_u64();
+        g.fill(&mut [0.0; 3]);
+        let mut b = vec![0.0; 100];
         g.set_state(3, 17);
-        let b: Vec<u64> = (0..16).map(|_| g.next_u64()).collect();
+        g.fill(&mut b);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn mixed_width_draws_consume_consistently() {
-        let mut g = Philox4x32::new(9);
-        g.set_state(0, 0);
-        // Interleave u32/u64 draws; just must not panic and must be
-        // reproducible.
-        let mut first = Vec::new();
-        for k in 0..32 {
-            if k % 3 == 0 {
-                first.push(g.next_u32() as u64);
-            } else {
-                first.push(g.next_u64());
-            }
-        }
-        g.set_state(0, 0);
-        for (k, &want) in first.iter().enumerate() {
-            let v = if k % 3 == 0 {
-                g.next_u32() as u64
-            } else {
-                g.next_u64()
-            };
-            assert_eq!(v, want);
+        let mut acc = vec![1.0; 100];
+        g.set_state(3, 17);
+        g.fill_axpy(2.0, &mut acc);
+        for (got, s) in acc.iter().zip(&a) {
+            assert_eq!(*got, 2.0f64.mul_add(*s, 1.0));
         }
     }
 

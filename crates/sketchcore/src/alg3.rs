@@ -79,6 +79,7 @@ pub(crate) fn block<T, S, W>(
                 n1: b.n1,
                 nnz,
                 rows_hit: None,
+                batch: 1,
             },
             dur_ns,
         );

@@ -91,6 +91,7 @@ pub(crate) fn block<T, S, W>(
                 n1: b.n1,
                 nnz: csr.nnz(),
                 rows_hit: Some(rows_hit),
+                batch: 1,
             },
             t0.elapsed().as_nanos() as u64,
         );

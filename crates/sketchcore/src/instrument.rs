@@ -10,18 +10,19 @@
 //! than those reported [without instrumentation] since the timer creates
 //! additional overhead".
 //!
-//! The adapter records into an [`obskit::LocalSpans`] accumulator (always on
-//! — the caller asked for a timing by calling the `_instrumented` entry
-//! point) and [`SketchTiming`] is a *view* over those spans. When the global
-//! telemetry gate is on, the same spans and counters are also published to
-//! the obskit registry, so instrumented runs show up in JSONL exports for
-//! free.
+//! The adapter sums sample time, samples and seeks in plain fields (always
+//! on — the caller asked for a timing by calling the `_instrumented` entry
+//! point) and [`SketchTiming`] is built from them. When the global telemetry
+//! gate is on, the run's total and sample time are also recorded into the
+//! obskit histograms [`SPAN_ALG3`]/[`SPAN_ALG3_SAMPLE`] (or the Algorithm 4
+//! pair) and the samples and seeks into the counters, so instrumented runs
+//! show up in JSONL exports for free.
 
 use crate::alg1::{self, Panel};
 use crate::config::SketchConfig;
 use crate::{alg3, alg4};
 use densekit::Matrix;
-use obskit::{Ctr, LocalSpans};
+use obskit::Ctr;
 use rngkit::{BlockSampler, SampleCost};
 use sparsekit::{BlockedCsr, CscMatrix, Scalar};
 use std::time::Instant;
@@ -53,26 +54,15 @@ impl SketchTiming {
     pub fn compute_s(&self) -> f64 {
         (self.total_s - self.sample_s).max(0.0)
     }
-
-    /// View a [`LocalSpans`] accumulator as a timing breakdown: `total` and
-    /// `sample` name the span paths holding the wall-clock and RNG time.
-    pub fn from_spans(spans: &LocalSpans, total: &str, sample: &str) -> Self {
-        Self {
-            total_s: spans.secs(total),
-            sample_s: spans.secs(sample),
-            samples: spans.counter(Ctr::Samples),
-            seeks: spans.counter(Ctr::Seeks),
-        }
-    }
 }
 
-/// Sampler adapter timing every `set_state` + `fill` into a
-/// [`LocalSpans`] accumulator under `path`, with one seek and `len` samples
-/// counted per regenerated segment.
+/// Sampler adapter timing every `set_state` + `fill`, with one seek and
+/// `len` samples counted per regenerated segment.
 struct Timed<T, S> {
     inner: S,
-    path: &'static str,
-    spans: LocalSpans,
+    sample_ns: u64,
+    samples: u64,
+    seeks: u64,
     started: Instant,
     /// Scratch for `fill_axpy`, which fills here (timed) and then does the
     /// axpy (untimed).
@@ -80,37 +70,49 @@ struct Timed<T, S> {
 }
 
 impl<T: Scalar, S: BlockSampler<T>> Timed<T, S> {
-    fn new(inner: S, path: &'static str) -> Self {
+    fn new(inner: S) -> Self {
         Self {
             inner,
-            path,
-            spans: LocalSpans::new(),
+            sample_ns: 0,
+            samples: 0,
+            seeks: 0,
             started: Instant::now(),
             v: Vec::new(),
         }
     }
 
-    /// Record the run's wall-clock time since `t0` under `total`, publish the
-    /// spans, and view them as a timing.
-    fn finish(mut self, total: &'static str, t0: Instant) -> SketchTiming {
-        self.spans.add_ns(total, t0.elapsed().as_nanos() as u64);
-        self.spans.publish();
-        SketchTiming::from_spans(&self.spans, total, self.path)
+    /// The run's timing, with the wall-clock time since `t0` as its total.
+    /// When telemetry is on, the total and sample time are recorded under
+    /// the span paths `total` and `sample`, and the samples and seeks are
+    /// counted.
+    fn finish(self, total: &'static str, sample: &'static str, t0: Instant) -> SketchTiming {
+        let total_ns = t0.elapsed().as_nanos() as u64;
+        if obskit::enabled() {
+            obskit::hist_record_ns(total, total_ns);
+            obskit::hist_record_ns(sample, self.sample_ns);
+            obskit::add(Ctr::Samples, self.samples);
+            obskit::add(Ctr::Seeks, self.seeks);
+        }
+        SketchTiming {
+            total_s: total_ns as f64 * 1e-9,
+            sample_s: self.sample_ns as f64 * 1e-9,
+            samples: self.samples,
+            seeks: self.seeks,
+        }
     }
 }
 
 impl<T: Scalar, S: BlockSampler<T>> BlockSampler<T> for Timed<T, S> {
     fn set_state(&mut self, block_row: usize, col: usize) {
-        self.spans.count(Ctr::Seeks, 1);
+        self.seeks += 1;
         self.started = Instant::now();
         self.inner.set_state(block_row, col);
     }
 
     fn fill(&mut self, out: &mut [T]) {
         self.inner.fill(out);
-        self.spans
-            .add_ns(self.path, self.started.elapsed().as_nanos() as u64);
-        self.spans.count(Ctr::Samples, out.len() as u64);
+        self.sample_ns += self.started.elapsed().as_nanos() as u64;
+        self.samples += out.len() as u64;
     }
 
     fn fill_axpy(&mut self, coeff: T, out: &mut [T]) {
@@ -139,11 +141,11 @@ where
     S: BlockSampler<T> + Clone,
 {
     let t0 = Instant::now();
-    let mut timed = Timed::new(sampler.clone(), SPAN_ALG3_SAMPLE);
+    let mut timed = Timed::new(sampler.clone());
     let mut ahat = Matrix::zeros(cfg.d, a.ncols());
     let mut out = Panel::new(ahat.as_mut_slice(), cfg.d, 0);
     alg1::drive(cfg, a.ncols(), |b| alg3::kernel(&mut out, a, b, &mut timed));
-    (ahat, timed.finish(SPAN_ALG3, t0))
+    (ahat, timed.finish(SPAN_ALG3, SPAN_ALG3_SAMPLE, t0))
 }
 
 /// Algorithm 4 with per-fill timing.
@@ -157,14 +159,14 @@ where
     S: BlockSampler<T> + Clone,
 {
     let t0 = Instant::now();
-    let mut timed = Timed::new(sampler.clone(), SPAN_ALG4_SAMPLE);
+    let mut timed = Timed::new(sampler.clone());
     let mut ahat = Matrix::zeros(cfg.d, a.ncols());
     let mut out = Panel::new(ahat.as_mut_slice(), cfg.d, 0);
     let mut v = vec![T::ZERO; cfg.b_d.min(cfg.d)];
     for (csr, b) in alg4::blocks(a, cfg) {
         alg4::kernel(&mut out, csr, b, &mut timed, &mut v);
     }
-    (ahat, timed.finish(SPAN_ALG4, t0))
+    (ahat, timed.finish(SPAN_ALG4, SPAN_ALG4_SAMPLE, t0))
 }
 
 #[cfg(test)]
@@ -244,19 +246,5 @@ mod tests {
             seeks: 0,
         };
         assert_eq!(t.compute_s(), 0.0);
-    }
-
-    #[test]
-    fn timing_is_a_view_over_local_spans() {
-        let mut spans = LocalSpans::new();
-        spans.add_ns(SPAN_ALG3, 3_000_000_000);
-        spans.add_ns(SPAN_ALG3_SAMPLE, 1_000_000_000);
-        spans.count(Ctr::Samples, 42);
-        spans.count(Ctr::Seeks, 6);
-        let t = SketchTiming::from_spans(&spans, SPAN_ALG3, SPAN_ALG3_SAMPLE);
-        assert!((t.total_s - 3.0).abs() < 1e-12);
-        assert!((t.sample_s - 1.0).abs() < 1e-12);
-        assert!((t.compute_s() - 2.0).abs() < 1e-12);
-        assert_eq!((t.samples, t.seeks), (42, 6));
     }
 }

@@ -40,7 +40,7 @@
 //! * [`multi`] — `k` seeds in one blocked pass over `A` (the serving
 //!   layer's batch): each block runs the Algorithm 3 kernel once per seed.
 //! * [`instrument`] — sample-time vs total-time split (paper Tables III/V)
-//!   through a timing sampler adapter, viewed as obskit spans.
+//!   through a timing sampler adapter, recorded as obskit spans.
 //! * [`robust`] — hardened entry points sharing one validate → contain
 //!   panics → scan output shell, with a memory-budget planner.
 //! * [`model`] — the roofline/computational-intensity model of §III-A, with

@@ -29,7 +29,7 @@ use crate::alg1::{self, Panel};
 use crate::alg3;
 use crate::config::SketchConfig;
 use crate::error::SketchError;
-use crate::robust::checked;
+use crate::robust::{checked, memory_budget_bytes};
 use densekit::Matrix;
 use rngkit::BlockSampler;
 use sparsekit::{CscMatrix, Scalar};
@@ -68,7 +68,7 @@ where
             // Counter accounting scales with the batch (k seeks/samples per
             // nonzero); bytes_a is charged once — the traversal the batch
             // shares — which is exactly the asymmetry the batcher exploits.
-            crate::obs::block_done_multi::<T>(
+            crate::obs::block_done::<T>(
                 crate::obs::BlockObs {
                     path: "sketch/alg3_multi/block",
                     i: b.i,
@@ -77,8 +77,8 @@ where
                     n1: b.n1,
                     nnz: nnz_b,
                     rows_hit: None,
+                    batch: ss.len(),
                 },
-                ss.len(),
                 dur_ns,
             );
         }
@@ -86,8 +86,13 @@ where
     outs
 }
 
-/// Hardened batched driver: validated input, one catch_unwind around the
-/// whole pass, per-output non-finite scan.
+/// Hardened batched driver: validated input, an output memory-budget check
+/// before anything is allocated, one catch_unwind around the whole pass,
+/// per-output non-finite scan.
+///
+/// The batch materializes `k·d·n` scalars; when that exceeds
+/// [`memory_budget_bytes`] (or overflows `u64`) the call returns
+/// [`SketchError::BudgetExceeded`].
 ///
 /// Unlike [`crate::try_sketch_alg3`] this does not re-plan block sizes — the
 /// serving layer validates and budget-plans a matrix once at registry-load
@@ -104,7 +109,22 @@ where
     T: Scalar,
     S: BlockSampler<T> + Clone,
 {
-    checked(a, validate, || Ok(sketch_alg3_multi(a, cfg, samplers)))
+    checked(a, validate, || {
+        let budget_bytes = memory_budget_bytes();
+        let need = (std::mem::size_of::<T>() as u64)
+            .checked_mul(cfg.d as u64)
+            .and_then(|b| b.checked_mul(a.ncols() as u64))
+            .and_then(|b| b.checked_mul(samplers.len() as u64));
+        match need {
+            Some(need_bytes) if need_bytes <= budget_bytes => {
+                Ok(sketch_alg3_multi(a, cfg, samplers))
+            }
+            _ => Err(SketchError::BudgetExceeded {
+                need_bytes: need.unwrap_or(u64::MAX),
+                budget_bytes,
+            }),
+        }
+    })
 }
 
 #[cfg(test)]
@@ -179,6 +199,25 @@ mod tests {
         match try_sketch_alg3_multi(&bad, &cfg, &samplers, true) {
             Err(SketchError::InvalidInput(_)) => {}
             other => panic!("expected InvalidInput, got {other:?}"),
+        }
+    }
+
+    /// An output past the memory budget is refused before it is allocated,
+    /// including when its size overflows `usize` or `u64`.
+    #[test]
+    fn hardened_multi_refuses_outputs_over_budget() {
+        let a = random_csc(2000, 48, 3000, 9);
+        let samplers = [UnitUniform::<f64>::sampler(FastRng::new(1))];
+        for d in [1usize << 40, 1 << 61] {
+            let cfg = SketchConfig::new(d, 64, 8, 0);
+            match try_sketch_alg3_multi(&a, &cfg, &samplers, true) {
+                Err(SketchError::BudgetExceeded { need_bytes, .. }) => {
+                    let want = (8 * 48u64).saturating_mul(d as u64);
+                    assert_eq!(need_bytes, want, "d = {d}");
+                }
+                Err(e) => panic!("d = {d}: expected BudgetExceeded, got {e:?}"),
+                Ok(_) => panic!("d = {d}: a {d}-row sketch cannot be allocated"),
+            }
         }
     }
 }

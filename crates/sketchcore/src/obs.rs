@@ -10,12 +10,15 @@
 //! counters follow the paper's accounting:
 //!
 //! * `samples` — entries of `S` regenerated (Algorithm 3: `d₁` per nonzero;
-//!   Algorithm 4: `d₁` per nonempty row of the vertical block).
+//!   Algorithm 4: `d₁` per nonempty row of the vertical block), times the
+//!   number of sketches a batched block serves.
 //! * `seeks` — `set_state` checkpoint seeks (one per regenerated column
 //!   segment).
-//! * `flops` — useful flops, `2·d₁` per nonzero (multiply-add = 2).
-//! * `bytes_a` — the sparse operand streamed: value + row index per nonzero.
-//! * `bytes_out` — the `Â` block read and written once per visit.
+//! * `flops` — useful flops, `2·d₁` per nonzero and sketch (multiply-add =
+//!   2).
+//! * `bytes_a` — the sparse operand streamed: value + row index per nonzero,
+//!   charged once per block however many sketches share the traversal.
+//! * `bytes_out` — each sketch's `Â` block read and written once per visit.
 //!
 //! [`TrafficReport`] then puts the measured byte counters side by side with
 //! the §III-A cost model: the model predicts a computational intensity
@@ -65,26 +68,36 @@ pub struct BlockObs {
     /// samples per nonempty row), `None` for Algorithm-3-style (per
     /// nonzero).
     pub rows_hit: Option<usize>,
+    /// Independent sketches the block served in one traversal of `A` (1
+    /// except in [`crate::sketch_alg3_multi`]).
+    pub batch: usize,
 }
 
 /// Record one completed kernel block into whichever recorders are armed:
 /// the latency histogram plus §III-B counters when aggregate telemetry is
 /// on, and an annotated block span (indices, rows, nnz, bytes, model cost)
-/// plus counter deltas when the flight recorder is on. `dur_ns` is the
-/// measured kernel time — callers take it immediately after the kernel so
-/// shape bookkeeping (e.g. the nnz sum) never inflates the measurement.
+/// plus counter deltas when the flight recorder is on. Sample, seek, flop
+/// and output counts scale with `b.batch`; `bytes_a` is charged once,
+/// because a batch streams the operand once. `dur_ns` is the measured
+/// kernel time — callers take it immediately after the kernel so shape
+/// bookkeeping (e.g. the nnz sum) never inflates the measurement.
 pub fn block_done<T>(b: BlockObs, dur_ns: u64) {
-    let samples = (b.d1 * b.rows_hit.unwrap_or(b.nnz)) as u64;
+    let (d1, n1, nnz, batch) = (b.d1 as u64, b.n1 as u64, b.nnz as u64, b.batch as u64);
+    let seeks = batch * b.rows_hit.map_or(nnz, |rh| rh as u64);
+    let samples = d1 * seeks;
+    let word = std::mem::size_of::<T>() as u64;
+    let bytes_a = nnz * nnz_bytes::<T>();
+    let bytes_out = 2 * word * batch * d1 * n1;
     if obskit::enabled() {
         obskit::hist_record_ns(b.path, dur_ns);
-        match b.rows_hit {
-            Some(rh) => count_block_alg4::<T>(b.d1, b.n1, b.nnz, rh),
-            None => count_block::<T>(b.d1, b.n1, b.nnz),
-        }
+        obskit::add(Ctr::Samples, samples);
+        obskit::add(Ctr::Seeks, seeks);
+        obskit::add(Ctr::Flops, 2 * batch * d1 * nnz);
+        obskit::add(Ctr::BytesA, bytes_a);
+        obskit::add(Ctr::BytesOut, bytes_out);
     }
     if obskit::trace_enabled() {
-        let word = std::mem::size_of::<T>() as u64;
-        let bytes = b.nnz as u64 * nnz_bytes::<T>() + 2 * word * (b.d1 * b.n1) as u64;
+        let bytes = bytes_a + bytes_out;
         // §III-A cost functional in byte units: memory traffic plus
         // generation cost h per sample, expressed in word-bytes so the two
         // terms share a unit. The anomaly attributor fits ns-per-cost-unit
@@ -101,7 +114,7 @@ pub fn block_done<T>(b: BlockObs, dur_ns: u64) {
                 b.i as u64,
                 b.j as u64,
                 b.rows_hit.unwrap_or(b.d1) as u64,
-                b.nnz as u64,
+                nnz,
                 bytes,
                 cost,
             ],
@@ -109,75 +122,6 @@ pub fn block_done<T>(b: BlockObs, dur_ns: u64) {
         trace::counter("samples", samples);
         trace::counter("bytes", bytes);
     }
-}
-
-/// Record one completed *batched* kernel block (`batch` independent sketches
-/// sharing one traversal — see [`crate::sketch_alg3_multi`]). Sample/seek/
-/// flop/output counters scale with the batch; `bytes_a` is charged once,
-/// because the batch's whole point is that the operand is streamed once.
-pub fn block_done_multi<T>(b: BlockObs, batch: usize, dur_ns: u64) {
-    if obskit::enabled() {
-        obskit::hist_record_ns(b.path, dur_ns);
-        let (d1, n1, nnz_b, batch) = (b.d1 as u64, b.n1 as u64, b.nnz as u64, batch as u64);
-        obskit::add(Ctr::Samples, batch * d1 * nnz_b);
-        obskit::add(Ctr::Seeks, batch * nnz_b);
-        obskit::add(Ctr::Flops, 2 * batch * d1 * nnz_b);
-        obskit::add(Ctr::BytesA, nnz_b * nnz_bytes::<T>());
-        obskit::add(
-            Ctr::BytesOut,
-            2 * std::mem::size_of::<T>() as u64 * batch * d1 * n1,
-        );
-    }
-    if obskit::trace_enabled() {
-        let word = std::mem::size_of::<T>() as u64;
-        let samples = (b.d1 * b.nnz) as u64 * batch as u64;
-        let bytes =
-            b.nnz as u64 * nnz_bytes::<T>() + 2 * word * (b.d1 * b.n1) as u64 * batch as u64;
-        let h = CostModel::default_host().h;
-        let cost = bytes + (h * samples as f64 * word as f64).round() as u64;
-        let end_ns = trace::now_ns();
-        trace::span_pair(
-            b.path,
-            end_ns.saturating_sub(dur_ns),
-            end_ns,
-            TraceKind::BlockEnd,
-            [
-                b.i as u64,
-                b.j as u64,
-                batch as u64,
-                b.nnz as u64,
-                bytes,
-                cost,
-            ],
-        );
-        trace::counter("samples", samples);
-        trace::counter("bytes", bytes);
-    }
-}
-
-/// Record one Algorithm-3-style outer block: `d1 × n1` output tile with
-/// `nnz_b` nonzeros of `A` in its column range. One seek and `d1` samples
-/// per nonzero. Call only when [`obskit::enabled`] is true.
-pub fn count_block<T>(d1: usize, n1: usize, nnz_b: usize) {
-    let (d1, n1, nnz_b) = (d1 as u64, n1 as u64, nnz_b as u64);
-    obskit::add(Ctr::Samples, d1 * nnz_b);
-    obskit::add(Ctr::Seeks, nnz_b);
-    obskit::add(Ctr::Flops, 2 * d1 * nnz_b);
-    obskit::add(Ctr::BytesA, nnz_b * nnz_bytes::<T>());
-    obskit::add(Ctr::BytesOut, 2 * std::mem::size_of::<T>() as u64 * d1 * n1);
-}
-
-/// Record one Algorithm-4-style outer block: `d1 × n1` output tile with
-/// `nnz_b` nonzeros, of which `rows_hit` distinct nonempty rows each cost
-/// one seek and `d1` samples (the regenerated column segment is reused
-/// across the row). Call only when [`obskit::enabled`] is true.
-pub fn count_block_alg4<T>(d1: usize, n1: usize, nnz_b: usize, rows_hit: usize) {
-    let (d1, n1, nnz_b, rows_hit) = (d1 as u64, n1 as u64, nnz_b as u64, rows_hit as u64);
-    obskit::add(Ctr::Samples, d1 * rows_hit);
-    obskit::add(Ctr::Seeks, rows_hit);
-    obskit::add(Ctr::Flops, 2 * d1 * nnz_b);
-    obskit::add(Ctr::BytesA, nnz_b * nnz_bytes::<T>());
-    obskit::add(Ctr::BytesOut, 2 * std::mem::size_of::<T>() as u64 * d1 * n1);
 }
 
 /// Measured memory traffic put side by side with the §III-A model.

@@ -8,8 +8,8 @@
 
 use rngkit::{FastRng, Rademacher, UnitUniform};
 use sketchcore::{
-    config::alg3_samples, obs, sketch_alg3, sketch_alg3_instrumented, sketch_alg3_signs,
-    sketch_alg4, sketch_alg4_signs, SketchConfig,
+    config::alg3_samples, instrument, obs, sketch_alg3, sketch_alg3_instrumented,
+    sketch_alg3_signs, sketch_alg4, sketch_alg4_signs, SketchConfig,
 };
 use sparsekit::{BlockedCsr, CooMatrix, CscMatrix};
 use std::sync::Mutex;
@@ -126,6 +126,49 @@ fn global_counters_match_closed_form() {
     obskit::reset();
 }
 
+/// With the gate on, an instrumented run records its total and sample time
+/// as one sample each of its two span histograms and its samples and seeks
+/// as counters, all equal to the timing handed back to the caller; it
+/// records no block counters.
+#[test]
+#[cfg_attr(not(feature = "obs"), ignore = "recording is compiled out")]
+fn instrumented_run_records_its_timing() {
+    let _g = lock();
+    let a = random_csc(50, 30, 300, 5);
+    let cfg = SketchConfig::new(24, 7, 6, 3);
+    let sampler = UnitUniform::<f64>::sampler(FastRng::new(cfg.seed));
+
+    obskit::set_enabled(true);
+    obskit::reset();
+    let (_x, t) = sketch_alg3_instrumented(&a, &cfg, &sampler);
+    let s = obskit::snapshot();
+    let hist = |path: &str| {
+        let (_, h) = s.hists.iter().find(|(p, _)| p == path).expect(path);
+        (h.count(), h.sum())
+    };
+    let ns = |secs: f64| (secs * 1e9).round() as u64;
+    assert_eq!(
+        hist(instrument::SPAN_ALG3),
+        (1, ns(t.total_s)),
+        "total span"
+    );
+    assert_eq!(
+        hist(instrument::SPAN_ALG3_SAMPLE),
+        (1, ns(t.sample_s)),
+        "sample span"
+    );
+    assert_eq!(s.counters[obskit::Ctr::Samples as usize], t.samples);
+    assert_eq!(s.counters[obskit::Ctr::Seeks as usize], t.seeks);
+    for c in [
+        obskit::Ctr::Flops,
+        obskit::Ctr::BytesA,
+        obskit::Ctr::BytesOut,
+    ] {
+        assert_eq!(s.counters[c as usize], 0, "{c:?}");
+    }
+    obskit::reset();
+}
+
 /// With the gate off the plain kernels record nothing, and the instrumented
 /// driver still hands a full timing back to its caller (publish is the only
 /// part that is gated).
@@ -144,7 +187,7 @@ fn gate_off_records_nothing_but_timing_survives() {
     obskit::set_enabled(true);
     let s = obskit::snapshot();
     assert_eq!(s.counters[obskit::Ctr::Samples as usize], 0);
-    assert!(s.spans.is_empty());
+    assert!(s.hists.is_empty());
     // The caller's view is unaffected by the gate.
     assert_eq!(t.samples, alg3_samples(cfg.d, a.nnz()));
     assert!(t.total_s > 0.0);

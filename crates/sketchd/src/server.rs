@@ -630,22 +630,6 @@ fn execute_sketch_batch(shared: &Arc<Shared>, mut batch: Vec<Job>) {
         }
     };
     let (d, n) = (req0.d as usize, a.ncols());
-    // Output budget gate: the batch materializes batch×d×n doubles. A
-    // product past u64 is over any budget.
-    let out_bytes = 8u64
-        .checked_mul(d as u64)
-        .and_then(|b| b.checked_mul(n as u64))
-        .and_then(|b| b.checked_mul(batch.len() as u64));
-    if out_bytes.is_none_or(|b| b > sketchcore::robust::memory_budget_bytes()) {
-        let size = out_bytes.map_or_else(|| "more than u64::MAX".into(), |b| b.to_string());
-        for j in &batch {
-            j.reply_error(
-                Status::Overloaded,
-                &format!("sketch output ({size} B) exceeds the memory budget"),
-            );
-        }
-        return;
-    }
     let cfg = SketchConfig::new(d, req0.b_d as usize, req0.b_n as usize, req0.seed);
     let seeds: Vec<u64> = batch
         .iter()

@@ -11,39 +11,8 @@
 //! cargo run --release --example reproducible_streams
 //! ```
 
-use rngkit::{BlockSampler, FastRng, PhiloxSampler, UnitUniform};
+use rngkit::{FastRng, PhiloxSampler, UnitUniform};
 use sketchcore::{sketch_alg3, SketchConfig};
-
-/// Adapter exposing [`PhiloxSampler`] to the kernels: `set_state` receives
-/// the *global row offset* of the block, which is exactly the coordinate a
-/// counter-based generator needs for blocking independence.
-#[derive(Clone)]
-struct PhiloxBlockSampler(PhiloxSampler);
-
-impl BlockSampler<f64> for PhiloxBlockSampler {
-    fn set_state(&mut self, block_row: usize, col: usize) {
-        self.0.seek(block_row, col);
-    }
-    fn fill(&mut self, out: &mut [f64]) {
-        self.0.fill_unit_f64(out);
-    }
-    fn fill_axpy(&mut self, coeff: f64, out: &mut [f64]) {
-        let mut tile = [0.0f64; 64];
-        for chunk in out.chunks_mut(64) {
-            let t = &mut tile[..chunk.len()];
-            self.0.fill_unit_f64(t);
-            for (o, &s) in chunk.iter_mut().zip(t.iter()) {
-                *o = coeff.mul_add(s, *o);
-            }
-        }
-    }
-    fn cost(&self) -> rngkit::SampleCost {
-        rngkit::SampleCost {
-            words_per_sample: 1.0,
-            label: "philox-4x32-10 unit uniform",
-        }
-    }
-}
 
 fn main() {
     let a = datagen::uniform_random::<f64>(5_000, 400, 5e-3, 9);
@@ -60,7 +29,7 @@ fn main() {
     );
 
     // Philox counters: blocking-independent, bit-identical.
-    let ph = PhiloxBlockSampler(PhiloxSampler::new(7));
+    let ph = PhiloxSampler::new(7);
     let p1 = sketch_alg3(&a, &cfg_a, &ph);
     let p2 = sketch_alg3(&a, &cfg_b, &ph);
     println!(

@@ -265,39 +265,9 @@ fn checkpoint_xoshiro_drivers_match_reference() {
     });
 }
 
-/// [`PhiloxSampler`] as a kernel sampler: `set_state` passes the block's
-/// global row offset, which a counter-based generator addresses directly.
-#[derive(Clone)]
-struct Philox(PhiloxSampler);
-
-impl BlockSampler<f64> for Philox {
-    fn set_state(&mut self, block_row: usize, col: usize) {
-        self.0.seek(block_row, col);
-    }
-    fn fill(&mut self, out: &mut [f64]) {
-        self.0.fill_unit_f64(out);
-    }
-    fn fill_axpy(&mut self, coeff: f64, out: &mut [f64]) {
-        let mut tile = [0.0f64; 64];
-        for chunk in out.chunks_mut(64) {
-            let t = &mut tile[..chunk.len()];
-            self.0.fill_unit_f64(t);
-            for (o, &s) in chunk.iter_mut().zip(t.iter()) {
-                *o = coeff.mul_add(s, *o);
-            }
-        }
-    }
-    fn cost(&self) -> rngkit::SampleCost {
-        rngkit::SampleCost {
-            words_per_sample: 1.0,
-            label: "philox unit uniform",
-        }
-    }
-}
-
 #[test]
 fn philox_drivers_match_reference() {
-    check_float_family("PhiloxSampler", |seed| Philox(PhiloxSampler::new(seed)));
+    check_float_family("PhiloxSampler", PhiloxSampler::new);
 }
 
 #[test]
