@@ -13,7 +13,7 @@
 //! * `--report PATH` — write one JSONL record per cell (default
 //!   `chaos_report.jsonl` under the current directory).
 //! * `--obs-json PATH` — export the obskit run telemetry (counters include
-//!   `sap.retries`, `sap.fallback_svd`, `budget.degraded_blocks`).
+//!   `sap.retries` and `sap.fallback_svd`).
 //!
 //! Exit code 0 iff no cell panicked or hung.
 

@@ -8,9 +8,8 @@
 //! outcome is classified as:
 //!
 //! * `clean_ok` — succeeded, no recovery machinery engaged;
-//! * `recovered` — succeeded after retries, QR→SVD fallback, or block
-//!   degradation (read off the `sap.retries` / `sap.fallback_svd` /
-//!   `budget.degraded_blocks` counter deltas);
+//! * `recovered` — succeeded after retries or a QR→SVD fallback (read off
+//!   the `sap.retries` / `sap.fallback_svd` counter deltas);
 //! * `typed_error` — failed with a typed [`sketchcore::SketchError`] or
 //!   [`lstsq::SolveError`];
 //! * `panicked` / `hung` — the two outcomes the hardening layer promises
@@ -36,8 +35,6 @@ pub enum Fault {
     None,
     /// `sketch/nan_stream=once` — poison one regenerated sample.
     NanStream,
-    /// `sketch/alloc=once` — simulated allocation failure in the planner.
-    Alloc,
     /// `parkit/worker=once` — panic the first parallel worker item.
     WorkerPanic,
     /// Structural corruption of the input's CSC arrays.
@@ -48,7 +45,7 @@ pub enum Fault {
     RankDeficientInput,
     /// Column scales spanning ten decades.
     BadlyScaledInput,
-    /// `SKETCH_MEM_BUDGET` squeezed to just above the output size.
+    /// `SKETCH_MEM_BUDGET` squeezed to one byte below the output size.
     TightBudget,
 }
 
@@ -58,7 +55,6 @@ impl Fault {
         match self {
             Fault::None => "none".into(),
             Fault::NanStream => "nan_stream_once".into(),
-            Fault::Alloc => "alloc_once".into(),
             Fault::WorkerPanic => "worker_panic_once".into(),
             Fault::Corrupt(c) => format!("corrupt_{c:?}").to_lowercase(),
             Fault::NanInput => "nan_input".into(),
@@ -99,7 +95,7 @@ impl Scenario {
 pub enum Outcome {
     /// Success with no recovery machinery engaged.
     CleanOk,
-    /// Success after retries / fallback / block degradation.
+    /// Success after retries or a QR→SVD fallback.
     Recovered,
     /// A typed error — the contract under fault.
     TypedError,
@@ -191,7 +187,6 @@ pub fn faults(quick: bool) -> Vec<Fault> {
     let mut f = vec![
         Fault::None,
         Fault::NanStream,
-        Fault::Alloc,
         Fault::WorkerPanic,
         Fault::Corrupt(Corruption::OutOfBoundsIndex),
         Fault::NanInput,
@@ -264,7 +259,6 @@ impl Armed {
         faultkit::clear();
         let plan = match fault {
             Fault::NanStream => Some("sketch/nan_stream=once"),
-            Fault::Alloc => Some("sketch/alloc=once"),
             Fault::WorkerPanic => Some("parkit/worker=once"),
             _ => None,
         };
@@ -276,11 +270,10 @@ impl Armed {
         }
         let budget_set = fault == Fault::TightBudget;
         if budget_set {
-            // Every scenario sketches at d = 2n, so the irreducible output
-            // is 2n²·8 bytes. Leave only 512 bytes beyond it — less than
-            // one (16, 8) f64 panel — forcing the block-degradation path.
+            // Every scenario sketches at d = 2n, so the output is 2n²·8
+            // bytes; one byte less must be refused with a typed error.
             let out = 2 * cfg.n as u64 * cfg.n as u64 * 8;
-            std::env::set_var("SKETCH_MEM_BUDGET", (out + 512).to_string());
+            std::env::set_var("SKETCH_MEM_BUDGET", (out - 1).to_string());
         }
         Self { budget_set }
     }
@@ -347,14 +340,10 @@ fn run_scenario(scenario: Scenario, a: &CscMatrix<f64>) -> Result<String, String
 
 /// Counter deltas that count as "the recovery machinery engaged".
 fn recovery_delta(before: &[u64], after: &[u64]) -> u64 {
-    [
-        obskit::Ctr::SapRetries,
-        obskit::Ctr::SapFallbackSvd,
-        obskit::Ctr::BudgetDegradedBlocks,
-    ]
-    .iter()
-    .map(|&c| after[c as usize].saturating_sub(before[c as usize]))
-    .sum()
+    [obskit::Ctr::SapRetries, obskit::Ctr::SapFallbackSvd]
+        .iter()
+        .map(|&c| after[c as usize].saturating_sub(before[c as usize]))
+        .sum()
 }
 
 /// Run one cell: scenario under fault, on a watchdogged thread.

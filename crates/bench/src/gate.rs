@@ -45,9 +45,7 @@ use lstsq::{
 };
 use obskit::{Ctr, CTR_NAMES, NCTR};
 use rngkit::{u64_to_unit_f64, FastRng, Rademacher, UnitUniform, Xoshiro256PlusPlus};
-use sketchcore::{
-    sketch_alg3, sketch_alg3_multi, sketch_alg3_signs, sketch_alg4, CostModel, SketchConfig,
-};
+use sketchcore::{sketch_alg3, sketch_alg4, try_sketch_alg3_multi, CostModel, SketchConfig};
 use sparsekit::BlockedCsr;
 use std::time::Instant;
 
@@ -168,16 +166,17 @@ pub fn suite(scale: usize) -> Vec<Scenario> {
         });
     }
 
-    // The ±1 sign kernel (Table II's cheapest distribution).
+    // The ±1 kernel (Table II's cheapest distribution): Rademacher's
+    // sign-bit-XOR fill_axpy, the path the table times.
     {
         let (a, cfg) = (a_tall.clone(), cfg3);
         out.push(Scenario {
             name: "alg3_signs",
-            kernel: "alg3_signs",
+            kernel: "alg3 ±1",
             shape: shape_of(&a),
             run: Box::new(move || {
-                let s = Rademacher::<i8>::sampler(FastRng::new(cfg.seed));
-                std::hint::black_box(sketch_alg3_signs(&a, &cfg, &s));
+                let s = Rademacher::<f64>::sampler(FastRng::new(cfg.seed));
+                std::hint::black_box(sketch_alg3(&a, &cfg, &s));
             }),
         });
     }
@@ -321,7 +320,8 @@ pub fn suite(scale: usize) -> Vec<Scenario> {
                 let samplers: Vec<_> = (0..4u64)
                     .map(|r| UnitUniform::<f64>::sampler(FastRng::new(cfg.seed + r)))
                     .collect();
-                std::hint::black_box(sketch_alg3_multi(&a, &cfg, &samplers));
+                let outs = try_sketch_alg3_multi(&a, &cfg, &samplers, false);
+                std::hint::black_box(outs.expect("benign batch"));
             }),
         });
     }

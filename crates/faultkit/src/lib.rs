@@ -23,7 +23,7 @@
 //! `SKETCH_FAULTS` is a comma-separated list of `site=trigger` clauses:
 //!
 //! ```text
-//! SKETCH_FAULTS="sketch/nan_stream=once,parkit/worker=nth:3,sketch/alloc=p:0.25"
+//! SKETCH_FAULTS="sketch/nan_stream=once,parkit/worker=nth:3,svc/dispatch=p:0.25"
 //! ```
 //!
 //! | trigger   | meaning                                             |

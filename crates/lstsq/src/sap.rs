@@ -190,7 +190,7 @@ fn try_factor(
 }
 
 /// One pass of the SAP pipeline at a given oversampling and seed: hardened
-/// sketch (validated input, budget-fitted blocks, output scan), scale,
+/// sketch (validated input, budgeted output, output scan), scale,
 /// factor with the rank check, LSQR with `stall_window`, report. Every
 /// stop short of convergence is an error.
 fn sap_pass(

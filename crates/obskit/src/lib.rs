@@ -65,20 +65,18 @@ pub enum Ctr {
     SapRetries = 6,
     /// Self-healing SAP: QR→SVD factorization fallbacks taken.
     SapFallbackSvd = 7,
-    /// Memory-budget guard: block-size halvings applied to fit the budget.
-    BudgetDegradedBlocks = 8,
     /// Serving layer (`sketchd`): requests admitted to the work queue.
-    SvcAccepted = 9,
+    SvcAccepted = 8,
     /// Serving layer: requests rejected at admission (queue-depth cap).
-    SvcRejectedOverload = 10,
+    SvcRejectedOverload = 9,
     /// Serving layer: requests whose deadline expired before completion.
-    SvcDeadlineMissed = 11,
+    SvcDeadlineMissed = 10,
     /// Serving layer: requests served as part of a coalesced batch of ≥ 2.
-    SvcBatched = 12,
+    SvcBatched = 11,
 }
 
 /// Number of counter slots.
-pub const NCTR: usize = 13;
+pub const NCTR: usize = 12;
 
 /// Counter names in slot order (JSONL and summary labels).
 pub const CTR_NAMES: [&str; NCTR] = [
@@ -90,7 +88,6 @@ pub const CTR_NAMES: [&str; NCTR] = [
     "solver_iters",
     "sap.retries",
     "sap.fallback_svd",
-    "budget.degraded_blocks",
     "svc.accepted",
     "svc.rejected_overload",
     "svc.deadline_missed",

@@ -12,9 +12,9 @@
 //!   the entries of `S·f` for `f = 1/i32::MAX` and fold the scale factor into
 //!   `A` (compute `(Sf)(A/f)`), skipping the int→float normalization in the
 //!   innermost loop.
-//! * [`Rademacher`] — iid ±1. Cheapest: 1 random *bit* per entry; the `i8`
-//!   instantiation reproduces the paper's 8-bit variant, and sign-bit fills
-//!   let kernels replace multiplies with add/subtract.
+//! * [`Rademacher`] — iid ±1. Cheapest: 1 random *bit* per entry, and the
+//!   fused `fill_axpy` flips the sign bit of the coefficient, replacing the
+//!   multiply with an add.
 //! * [`Gaussian`] — Box–Muller, the straightforward (and per Figure 4,
 //!   impractically slow) dense option.
 
@@ -29,7 +29,6 @@ pub trait Element:
 }
 impl Element for f32 {}
 impl Element for f64 {}
-impl Element for i8 {}
 impl Element for i32 {}
 
 /// A distribution that can fill a slice from a raw bit generator.
@@ -300,36 +299,6 @@ macro_rules! rademacher_float {
 rademacher_float!(f64, "±1 f64", u64, 63);
 rademacher_float!(f32, "±1 f32", u32, 31);
 
-impl Distribution<i8> for Rademacher<i8> {
-    #[inline]
-    fn fill<R: BlockRng>(&mut self, rng: &mut R, out: &mut [i8]) {
-        let mut chunks = out.chunks_exact_mut(64);
-        for chunk in &mut chunks {
-            let mut w = rng.next_u64();
-            for o in chunk.iter_mut() {
-                *o = 1 - 2 * (w & 1) as i8;
-                w >>= 1;
-            }
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let mut w = rng.next_u64();
-            for o in rem.iter_mut() {
-                *o = 1 - 2 * (w & 1) as i8;
-                w >>= 1;
-            }
-        }
-    }
-
-    fn words_per_sample(&self) -> f64 {
-        1.0 / 64.0
-    }
-
-    fn name(&self) -> &'static str {
-        "±1 i8"
-    }
-}
-
 /// Standard normal via Box–Muller. Exact but requires `ln`, `sqrt`, `sincos`
 /// per pair — the expensive transform that makes on-the-fly Gaussians
 /// uncompetitive in Figure 4.
@@ -448,23 +417,6 @@ mod tests {
         let (mean, var) = moments(&v);
         assert!(mean.abs() < 0.02);
         assert!((var - 1.0).abs() < 0.02);
-    }
-
-    #[test]
-    fn rademacher_i8_matches_f64_signs() {
-        let mut df = Rademacher::<f64>::new();
-        let mut di = Rademacher::<i8>::new();
-        let mut r1 = rng();
-        let mut r2 = rng();
-        r1.set_state(4, 9);
-        r2.set_state(4, 9);
-        let mut vf = vec![0.0; 300];
-        let mut vi = vec![0i8; 300];
-        df.fill(&mut r1, &mut vf);
-        di.fill(&mut r2, &mut vi);
-        for (f, i) in vf.iter().zip(vi.iter()) {
-            assert_eq!(*f, *i as f64);
-        }
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! still depend on position), with near-zero per-sample cost. **Not random**
 //! — for ablation only; sketch quality guarantees do not apply.
 
-use crate::dist::Element;
 use crate::fill::{BlockSampler, SampleCost};
 
 /// A deliberately trivial entry generator for RNG-cost ablations.
@@ -76,48 +75,6 @@ macro_rules! junk_impl {
 junk_impl!(f64);
 junk_impl!(f32);
 
-impl BlockSampler<i8> for JunkSampler {
-    #[inline(always)]
-    fn set_state(&mut self, block_row: usize, col: usize) {
-        self.state = (block_row ^ col) as f64;
-    }
-
-    #[inline(always)]
-    fn fill(&mut self, out: &mut [i8]) {
-        let mut s = self.state as i64;
-        for o in out.iter_mut() {
-            s += 1;
-            *o = if s & 1 == 0 { 1 } else { -1 };
-        }
-        self.state = s as f64;
-    }
-
-    #[inline(always)]
-    fn fill_axpy(&mut self, coeff: i8, out: &mut [i8]) {
-        let mut s = self.state as i64;
-        for o in out.iter_mut() {
-            s += 1;
-            *o += if s & 1 == 0 { coeff } else { -coeff };
-        }
-        self.state = s as f64;
-    }
-
-    fn cost(&self) -> SampleCost {
-        SampleCost {
-            words_per_sample: 0.0,
-            label: "junk ±1 (RNG-free upper bound)",
-        }
-    }
-}
-
-// Ensure the macro's Element bound assumptions stay true if Element evolves.
-const _: fn() = || {
-    fn assert_element<T: Element>() {}
-    assert_element::<f64>();
-    assert_element::<f32>();
-    assert_element::<i8>();
-};
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,15 +106,5 @@ mod tests {
     fn junk_reports_zero_rng_cost() {
         let j = JunkSampler::new(0);
         assert_eq!(BlockSampler::<f64>::cost(&j).words_per_sample, 0.0);
-    }
-
-    #[test]
-    fn junk_i8_alternates_signs() {
-        let mut j = JunkSampler::new(0);
-        let mut v = vec![0i8; 100];
-        BlockSampler::<i8>::set_state(&mut j, 1, 1);
-        BlockSampler::<i8>::fill(&mut j, &mut v);
-        assert!(v.iter().all(|&x| x == 1 || x == -1));
-        assert!(v.windows(2).all(|w| w[0] != w[1]));
     }
 }

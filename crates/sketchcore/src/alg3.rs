@@ -15,7 +15,7 @@ use crate::alg1::{self, ColumnSegments, OuterBlock, Panel};
 use crate::config::SketchConfig;
 use crate::obs;
 use densekit::Matrix;
-use rngkit::{BlockSampler, SampleCost, ScaledInt};
+use rngkit::{BlockSampler, ScaledInt};
 use sparsekit::{CscMatrix, Scalar};
 
 /// Compute `Â = S·A` with Algorithm 3 (sequential).
@@ -30,24 +30,11 @@ where
     S: BlockSampler<T> + Clone,
 {
     let _sp = obskit::span("sketch/alg3");
-    sequential(a, cfg, sampler.clone(), "sketch/alg3/block")
-}
-
-/// Algorithm 1 over [`block`] on the calling thread.
-fn sequential<T, S>(
-    a: &CscMatrix<T>,
-    cfg: &SketchConfig,
-    mut sampler: S,
-    path: &'static str,
-) -> Matrix<T>
-where
-    T: Scalar,
-    S: BlockSampler<T>,
-{
+    let mut sampler = sampler.clone();
     let mut ahat = Matrix::zeros(cfg.d, a.ncols());
     let mut out = Panel::new(ahat.as_mut_slice(), cfg.d, 0);
     alg1::drive(cfg, a.ncols(), |b| {
-        block(&mut out, a, b, &mut sampler, path)
+        block(&mut out, a, b, &mut sampler, "sketch/alg3/block")
     });
     ahat
 }
@@ -88,8 +75,8 @@ pub(crate) fn block<T, S, W>(
 
 /// Algorithm 3's kernel on one outer block: every driver — sequential,
 /// column panel, row stripe, each request of a batch, instrumented — runs
-/// this body; sampler adapters ([`Signs`], the instrumented timer, the fault
-/// injector) change what a `fill_axpy` does, not the loop.
+/// this body; sampler adapters (the instrumented timer, the fault injector)
+/// change what a `fill_axpy` does, not the loop.
 pub(crate) fn kernel<T, S, W>(out: &mut W, a: &CscMatrix<T>, b: OuterBlock, sampler: &mut S)
 where
     T: Scalar,
@@ -107,77 +94,6 @@ where
             sampler.fill_axpy(ajk, out);
         }
     }
-}
-
-/// Sampler adapter presenting iid ±1 `i8` signs as entries of `S` in `T`.
-///
-/// `fill_axpy` is a sign-select add — the multiply disappears and the
-/// regenerated data is 8× smaller than f64 (paper §III-C); `fill` writes the
-/// signs as `±1` for kernels that reuse a regenerated segment (Algorithm 4).
-#[derive(Clone, Debug)]
-pub(crate) struct Signs<S> {
-    inner: S,
-    signs: Vec<i8>,
-}
-
-impl<S: BlockSampler<i8>> Signs<S> {
-    pub(crate) fn new(inner: S) -> Self {
-        Self {
-            inner,
-            signs: Vec::new(),
-        }
-    }
-
-    /// The next `len` signs of the current checkpoint stream.
-    #[inline]
-    fn next_signs(&mut self, len: usize) -> &[i8] {
-        if self.signs.len() < len {
-            self.signs.resize(len, 0);
-        }
-        self.inner.fill(&mut self.signs[..len]);
-        &self.signs[..len]
-    }
-}
-
-impl<T: Scalar, S: BlockSampler<i8>> BlockSampler<T> for Signs<S> {
-    #[inline]
-    fn set_state(&mut self, block_row: usize, col: usize) {
-        self.inner.set_state(block_row, col);
-    }
-
-    fn fill(&mut self, out: &mut [T]) {
-        let signs = self.next_signs(out.len());
-        for (o, &s) in out.iter_mut().zip(signs) {
-            *o = if s >= 0 { T::ONE } else { -T::ONE };
-        }
-    }
-
-    fn fill_axpy(&mut self, coeff: T, out: &mut [T]) {
-        let signs = self.next_signs(out.len());
-        for (o, &s) in out.iter_mut().zip(signs) {
-            *o += if s >= 0 { coeff } else { -coeff };
-        }
-    }
-
-    fn cost(&self) -> SampleCost {
-        self.inner.cost()
-    }
-}
-
-/// Compute `Â = S·A` where `S` has iid ±1 entries generated as `i8` signs —
-/// the paper's cheapest distribution (Table II's "(±1)" column).
-pub fn sketch_alg3_signs<T, S>(a: &CscMatrix<T>, cfg: &SketchConfig, sampler: &S) -> Matrix<T>
-where
-    T: Scalar,
-    S: BlockSampler<i8> + Clone,
-{
-    let _sp = obskit::span("sketch/alg3_signs");
-    sequential(
-        a,
-        cfg,
-        Signs::new(sampler.clone()),
-        "sketch/alg3_signs/block",
-    )
 }
 
 /// Compute `Â = S·A` with the "(-1,1) scaling trick" of paper §III-C: the
@@ -199,7 +115,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rngkit::{CheckpointRng, Rademacher, UnitUniform, Xoshiro256PlusPlus};
+    use rngkit::{CheckpointRng, UnitUniform, Xoshiro256PlusPlus};
 
     type Rng = CheckpointRng<Xoshiro256PlusPlus>;
 
@@ -328,15 +244,6 @@ mod tests {
             assert_eq!(got[(i, 0)], 0.0);
             assert_eq!(got[(i, 2)], 0.0);
         }
-    }
-
-    #[test]
-    fn signs_variant_matches_float_rademacher() {
-        let a = random_csc(25, 15, 70, 9);
-        let cfg = SketchConfig::new(20, 6, 4, 11);
-        let f = sketch_alg3(&a, &cfg, &Rademacher::<f64>::sampler(Rng::new(cfg.seed)));
-        let s = sketch_alg3_signs(&a, &cfg, &Rademacher::<i8>::sampler(Rng::new(cfg.seed)));
-        assert!(f.diff_norm(&s) < 1e-12 * f.fro_norm().max(1.0));
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! loses badly (Table VI).
 
 use crate::alg1::{self, ColumnSegments, OuterBlock, Panel};
-use crate::alg3::Signs;
 use crate::config::SketchConfig;
 use crate::obs;
 use densekit::Matrix;
@@ -29,7 +28,14 @@ where
     S: BlockSampler<T> + Clone,
 {
     let _sp = obskit::span("sketch/alg4");
-    sequential(a, cfg, sampler.clone(), "sketch/alg4/block")
+    let mut sampler = sampler.clone();
+    let mut ahat = Matrix::zeros(cfg.d, a.ncols());
+    let mut out = Panel::new(ahat.as_mut_slice(), cfg.d, 0);
+    let mut v = vec![T::ZERO; cfg.b_d.min(cfg.d)];
+    for (csr, b) in blocks(a, cfg) {
+        block(&mut out, csr, b, &mut sampler, &mut v, "sketch/alg4/block");
+    }
+    ahat
 }
 
 /// Algorithm 1's blocks over a blocked-CSR operand, in loop order: each
@@ -43,26 +49,6 @@ pub(crate) fn blocks<'a, T: Scalar>(
         let csr = a.block(blk);
         alg1::panel(&cfg, a.block_col_offset(blk), csr.ncols()).map(move |b| (csr, b))
     })
-}
-
-/// Algorithm 1 over [`block`] on the calling thread.
-fn sequential<T, S>(
-    a: &BlockedCsr<T>,
-    cfg: &SketchConfig,
-    mut sampler: S,
-    path: &'static str,
-) -> Matrix<T>
-where
-    T: Scalar,
-    S: BlockSampler<T>,
-{
-    let mut ahat = Matrix::zeros(cfg.d, a.ncols());
-    let mut out = Panel::new(ahat.as_mut_slice(), cfg.d, 0);
-    let mut v = vec![T::ZERO; cfg.b_d.min(cfg.d)];
-    for (csr, b) in blocks(a, cfg) {
-        block(&mut out, csr, b, &mut sampler, &mut v, path);
-    }
-    ahat
 }
 
 /// [`kernel`] on one block, recorded under `path` when telemetry is on —
@@ -135,23 +121,6 @@ where
     rows_hit
 }
 
-/// ±1 `i8` sign variant of Algorithm 4 (Table IV's "(±1)" column): the
-/// `Signs` adapter regenerates each segment as `±1` entries, so the rank-1
-/// update adds or subtracts `A[j,k]` exactly.
-pub fn sketch_alg4_signs<T, S>(a: &BlockedCsr<T>, cfg: &SketchConfig, sampler: &S) -> Matrix<T>
-where
-    T: Scalar,
-    S: BlockSampler<i8> + Clone,
-{
-    let _sp = obskit::span("sketch/alg4_signs");
-    sequential(
-        a,
-        cfg,
-        Signs::new(sampler.clone()),
-        "sketch/alg4_signs/block",
-    )
-}
-
 /// Count the samples Algorithm 4 actually draws for `a` under `cfg`:
 /// `d` per (nonempty row, vertical block) pair. Used in the §III-B
 /// sample-count comparisons and the Table III/V "sample time" discussion.
@@ -214,22 +183,18 @@ mod tests {
         }
     }
 
+    /// Â's ±1 sketch is the same under both algorithms, bit for bit: each
+    /// product `±A[j,k]` is exact, and both add them into a column of `Â`
+    /// in the same row order.
     #[test]
     fn signs_variant_matches_alg3_signs() {
         let a = random_csc(40, 20, 120, 5);
         let cfg = SketchConfig::new(18, 6, 4, 13);
         let blocked = BlockedCsr::from_csc(&a, cfg.b_n);
-        let s3 = crate::alg3::sketch_alg3_signs(
-            &a,
-            &cfg,
-            &Rademacher::<i8>::sampler(Rng::new(cfg.seed)),
-        );
-        let s4 = sketch_alg4_signs(
-            &blocked,
-            &cfg,
-            &Rademacher::<i8>::sampler(Rng::new(cfg.seed)),
-        );
-        assert!(s3.diff_norm(&s4) < 1e-12 * s3.fro_norm().max(1.0));
+        let sampler = Rademacher::<f64>::sampler(Rng::new(cfg.seed));
+        let s3 = sketch_alg3(&a, &cfg, &sampler);
+        let s4 = sketch_alg4(&blocked, &cfg, &sampler);
+        assert_eq!(s3, s4);
     }
 
     #[test]

@@ -30,10 +30,10 @@ pub enum SketchError {
         /// Column of the first offending entry of `Â`.
         col: usize,
     },
-    /// Even maximally degraded block sizes cannot fit the memory budget:
-    /// the output itself is too large.
+    /// The sketch outputs (`k·d·n` scalars) exceed the memory budget; the
+    /// check runs before anything is allocated.
     BudgetExceeded {
-        /// Bytes the computation needs at minimum.
+        /// Bytes of the outputs (`u64::MAX` when the count overflows).
         need_bytes: u64,
         /// The configured budget (`SKETCH_MEM_BUDGET`).
         budget_bytes: u64,

@@ -30,19 +30,21 @@
 //!   sequential, column panel, row stripe ([`parallel`]), multi-seed batch
 //!   ([`multi`]), instrumented ([`instrument`]), hardened ([`robust`]) —
 //!   runs it; drivers differ only in which outer loop they split and where
-//!   they write. What a regenerated segment *is* comes from sampler
-//!   adapters: ±1 signs (`sketch_alg*_signs`) wrap an `i8` sampler whose
-//!   `fill_axpy` is a sign-select add, the Tables III/V split wraps a timer
+//!   they write. What a regenerated segment *is* comes from the sampler:
+//!   ±1 entries are `rngkit::Rademacher<f64>`, whose `fill_axpy` flips the
+//!   sign bit of the coefficient; the Tables III/V split wraps a timer
 //!   around `set_state` + `fill`, and [`FaultSampler`] poisons the stream
 //!   for fault injection.
 //! * [`parallel`] — parkit parallelizations of Algorithm 1's two outer loops
-//!   (paper §II-C): over column panels or over row stripes of `Â`.
+//!   (paper §II-C): over column panels (reached through
+//!   [`try_sketch_alg3_par_cols`]) or over row stripes of `Â`.
 //! * [`multi`] — `k` seeds in one blocked pass over `A` (the serving
-//!   layer's batch): each block runs the Algorithm 3 kernel once per seed.
+//!   layer's batch, [`try_sketch_alg3_multi`]): each block runs the
+//!   Algorithm 3 kernel once per seed.
 //! * [`instrument`] — sample-time vs total-time split (paper Tables III/V)
 //!   through a timing sampler adapter, recorded as obskit spans.
-//! * [`robust`] — hardened entry points sharing one validate → contain
-//!   panics → scan output shell, with a memory-budget planner.
+//! * [`robust`] — hardened entry points sharing one shell: validate, check
+//!   the outputs against the memory budget, contain panics, scan the output.
 //! * [`model`] — the roofline/computational-intensity model of §III-A, with
 //!   the block-size optimizer of eq. (4) and the closed forms (5)–(7).
 //! * [`obs`] — telemetry glue: block-granularity counters the kernels bump
@@ -74,15 +76,13 @@ pub mod obs;
 pub mod parallel;
 pub mod robust;
 
-pub use alg3::{sketch_alg3, sketch_alg3_signs};
-pub use alg4::{sketch_alg4, sketch_alg4_signs};
+pub use alg3::sketch_alg3;
+pub use alg4::sketch_alg4;
 pub use config::{flops, SketchConfig};
 pub use error::SketchError;
 pub use instrument::{sketch_alg3_instrumented, sketch_alg4_instrumented, SketchTiming};
 pub use model::{CostModel, ModelPrediction};
-pub use multi::{sketch_alg3_multi, try_sketch_alg3_multi};
+pub use multi::try_sketch_alg3_multi;
 pub use obs::TrafficReport;
-pub use parallel::{sketch_alg3_par_cols, sketch_alg3_par_rows, sketch_alg4_par_rows};
-pub use robust::{
-    plan_blocks, try_sketch_alg3, try_sketch_alg3_par_cols, BudgetPlan, FaultSampler,
-};
+pub use parallel::{sketch_alg3_par_rows, sketch_alg4_par_rows};
+pub use robust::{try_sketch_alg3, try_sketch_alg3_par_cols, FaultSampler};

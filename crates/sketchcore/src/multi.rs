@@ -29,76 +29,24 @@ use crate::alg1::{self, Panel};
 use crate::alg3;
 use crate::config::SketchConfig;
 use crate::error::SketchError;
-use crate::robust::{checked, memory_budget_bytes};
+use crate::robust::checked;
 use densekit::Matrix;
 use rngkit::BlockSampler;
 use sparsekit::{CscMatrix, Scalar};
 
-/// Compute `k` sketches `Âᵣ = Sᵣ·A` in one blocked pass over `A`.
+/// Compute `k` sketches `Âᵣ = Sᵣ·A` in one blocked pass over `A`, hardened:
+/// validated input (when `validate`), the `k·d·n` output scalars checked
+/// against [`crate::robust::memory_budget_bytes`] before anything is
+/// allocated, one catch_unwind around the whole pass, and a per-output
+/// non-finite scan.
 ///
 /// `samplers[r]` defines `Sᵣ` (cloned; caller state untouched). Returns one
 /// `d×n` matrix per sampler, each bitwise identical to
 /// `sketch_alg3(a, cfg, &samplers[r])`. With an empty sampler slice this is
 /// a no-op returning an empty vector.
-pub fn sketch_alg3_multi<T, S>(
-    a: &CscMatrix<T>,
-    cfg: &SketchConfig,
-    samplers: &[S],
-) -> Vec<Matrix<T>>
-where
-    T: Scalar,
-    S: BlockSampler<T> + Clone,
-{
-    let _sp = obskit::span("sketch/alg3_multi");
-    let mut outs: Vec<Matrix<T>> = samplers
-        .iter()
-        .map(|_| Matrix::zeros(cfg.d, a.ncols()))
-        .collect();
-    let mut ss: Vec<S> = samplers.to_vec();
-    alg1::drive(cfg, a.ncols(), |b| {
-        let t0 = crate::obs::block_timer();
-        // The block's slice of A is streamed by the first request and
-        // served to the rest from cache.
-        for (s, m) in ss.iter_mut().zip(outs.iter_mut()) {
-            alg3::kernel(&mut Panel::new(m.as_mut_slice(), cfg.d, 0), a, b, s);
-        }
-        if let Some(t0) = t0 {
-            let dur_ns = t0.elapsed().as_nanos() as u64;
-            let nnz_b: usize = (b.j..b.j + b.n1).map(|k| a.col(k).0.len()).sum();
-            // Counter accounting scales with the batch (k seeks/samples per
-            // nonzero); bytes_a is charged once — the traversal the batch
-            // shares — which is exactly the asymmetry the batcher exploits.
-            crate::obs::block_done::<T>(
-                crate::obs::BlockObs {
-                    path: "sketch/alg3_multi/block",
-                    i: b.i,
-                    j: b.j,
-                    d1: b.d1,
-                    n1: b.n1,
-                    nnz: nnz_b,
-                    rows_hit: None,
-                    batch: ss.len(),
-                },
-                dur_ns,
-            );
-        }
-    });
-    outs
-}
-
-/// Hardened batched driver: validated input, an output memory-budget check
-/// before anything is allocated, one catch_unwind around the whole pass,
-/// per-output non-finite scan.
 ///
-/// The batch materializes `k·d·n` scalars; when that exceeds
-/// [`memory_budget_bytes`] (or overflows `u64`) the call returns
-/// [`SketchError::BudgetExceeded`].
-///
-/// Unlike [`crate::try_sketch_alg3`] this does not re-plan block sizes — the
-/// serving layer validates and budget-plans a matrix once at registry-load
-/// time and reuses the plan across every request against that handle, so
+/// `validate` can be skipped for registry-held (pre-validated) matrices, so
 /// per-request cost stays proportional to the sketch, not to `nnz(A)`.
-/// `validate` can be skipped for registry-held (pre-validated) matrices.
 pub fn try_sketch_alg3_multi<T, S>(
     a: &CscMatrix<T>,
     cfg: &SketchConfig,
@@ -109,21 +57,42 @@ where
     T: Scalar,
     S: BlockSampler<T> + Clone,
 {
-    checked(a, validate, || {
-        let budget_bytes = memory_budget_bytes();
-        let need = (std::mem::size_of::<T>() as u64)
-            .checked_mul(cfg.d as u64)
-            .and_then(|b| b.checked_mul(a.ncols() as u64))
-            .and_then(|b| b.checked_mul(samplers.len() as u64));
-        match need {
-            Some(need_bytes) if need_bytes <= budget_bytes => {
-                Ok(sketch_alg3_multi(a, cfg, samplers))
+    checked(a, cfg, samplers.len(), validate, || {
+        let _sp = obskit::span("sketch/alg3_multi");
+        let mut outs: Vec<Matrix<T>> = samplers
+            .iter()
+            .map(|_| Matrix::zeros(cfg.d, a.ncols()))
+            .collect();
+        let mut ss: Vec<S> = samplers.to_vec();
+        alg1::drive(cfg, a.ncols(), |b| {
+            let t0 = crate::obs::block_timer();
+            // The block's slice of A is streamed by the first request and
+            // served to the rest from cache.
+            for (s, m) in ss.iter_mut().zip(outs.iter_mut()) {
+                alg3::kernel(&mut Panel::new(m.as_mut_slice(), cfg.d, 0), a, b, s);
             }
-            _ => Err(SketchError::BudgetExceeded {
-                need_bytes: need.unwrap_or(u64::MAX),
-                budget_bytes,
-            }),
-        }
+            if let Some(t0) = t0 {
+                let dur_ns = t0.elapsed().as_nanos() as u64;
+                let nnz_b: usize = (b.j..b.j + b.n1).map(|k| a.col(k).0.len()).sum();
+                // Counter accounting scales with the batch (k seeks/samples per
+                // nonzero); bytes_a is charged once — the traversal the batch
+                // shares — which is exactly the asymmetry the batcher exploits.
+                crate::obs::block_done::<T>(
+                    crate::obs::BlockObs {
+                        path: "sketch/alg3_multi/block",
+                        i: b.i,
+                        j: b.j,
+                        d1: b.d1,
+                        n1: b.n1,
+                        nnz: nnz_b,
+                        rows_hit: None,
+                        batch: ss.len(),
+                    },
+                    dur_ns,
+                );
+            }
+        });
+        outs
     })
 }
 
@@ -161,7 +130,7 @@ mod tests {
             let samplers: Vec<_> = (0..5)
                 .map(|r| UnitUniform::<f64>::sampler(FastRng::new(1000 + r)))
                 .collect();
-            let batched = sketch_alg3_multi(&a, &cfg, &samplers);
+            let batched = try_sketch_alg3_multi(&a, &cfg, &samplers, true).expect("benign input");
             assert_eq!(batched.len(), 5);
             for (r, s) in samplers.iter().enumerate() {
                 let seq = crate::sketch_alg3(&a, &cfg, s);
@@ -177,8 +146,8 @@ mod tests {
     fn empty_batch_is_a_noop() {
         let a = random_csc(10, 6, 20, 3);
         let cfg = SketchConfig::new(8, 4, 3, 0);
-        let outs =
-            sketch_alg3_multi::<f64, rngkit::DistSampler<UnitUniform<f64>, FastRng>>(&a, &cfg, &[]);
+        let none: [rngkit::DistSampler<UnitUniform<f64>, FastRng>; 0] = [];
+        let outs = try_sketch_alg3_multi(&a, &cfg, &none, true).expect("benign input");
         assert!(outs.is_empty());
     }
 

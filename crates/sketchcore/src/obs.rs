@@ -69,7 +69,7 @@ pub struct BlockObs {
     /// nonzero).
     pub rows_hit: Option<usize>,
     /// Independent sketches the block served in one traversal of `A` (1
-    /// except in [`crate::sketch_alg3_multi`]).
+    /// except in [`crate::try_sketch_alg3_multi`]).
     pub batch: usize,
 }
 

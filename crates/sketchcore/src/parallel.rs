@@ -3,11 +3,11 @@
 //! The paper (§II-C) parallelizes either of the two outer loops. Algorithm 3
 //! has both; Algorithm 4 has the row stripes Table VII times:
 //!
-//! * **Column panels** (`sketch_alg3_par_cols`): each worker owns a disjoint
-//!   panel of columns of `Â` — expressible as safe disjoint `&mut` chunks of
-//!   the column-major buffer. The panels are at most `b_n` wide and narrow
-//!   to `⌈n/threads⌉` so that a matrix of at most `b_n` columns still
-//!   reaches every worker.
+//! * **Column panels** (the body of [`crate::try_sketch_alg3_par_cols`]):
+//!   each worker owns a disjoint panel of columns of `Â` — expressible as
+//!   safe disjoint `&mut` chunks of the column-major buffer. The panels are
+//!   at most `b_n` wide and narrow to `⌈n/threads⌉` so that a matrix of at
+//!   most `b_n` columns still reaches every worker.
 //! * **Row stripes** (`sketch_alg3_par_rows`, `sketch_alg4_par_rows`): each
 //!   worker owns a `b_d`-row stripe of `Â` across all columns. Stripes of a
 //!   column-major matrix are not contiguous, so these drivers use a
@@ -42,7 +42,11 @@ use std::marker::PhantomData;
 /// Each worker takes panels of `min(b_n, ⌈n/threads⌉)` columns. The panel
 /// width does not change a bit of the result: every column's update is the
 /// same sequence of checkpoint seeks and axpys whichever panel holds it.
-pub fn sketch_alg3_par_cols<T, S>(a: &CscMatrix<T>, cfg: &SketchConfig, sampler: &S) -> Matrix<T>
+pub(crate) fn sketch_alg3_par_cols<T, S>(
+    a: &CscMatrix<T>,
+    cfg: &SketchConfig,
+    sampler: &S,
+) -> Matrix<T>
 where
     T: Scalar,
     S: BlockSampler<T> + Clone + Send + Sync,
@@ -188,6 +192,7 @@ mod tests {
     use super::*;
     use crate::alg3::sketch_alg3;
     use crate::alg4::sketch_alg4;
+    use crate::try_sketch_alg3_par_cols;
     use rngkit::{CheckpointRng, UnitUniform, Xoshiro256PlusPlus};
 
     type Rng = CheckpointRng<Xoshiro256PlusPlus>;
@@ -216,7 +221,7 @@ mod tests {
         let cfg = SketchConfig::new(33, 9, 7, 5);
         let sampler = UnitUniform::<f64>::sampler(Rng::new(cfg.seed));
         let seq = sketch_alg3(&a, &cfg, &sampler);
-        let par = sketch_alg3_par_cols(&a, &cfg, &sampler);
+        let par = try_sketch_alg3_par_cols(&a, &cfg, &sampler).expect("benign input");
         assert_eq!(seq, par);
     }
 
@@ -228,7 +233,8 @@ mod tests {
         let sampler = UnitUniform::<f64>::sampler(Rng::new(cfg.seed));
         let seq = sketch_alg3(&a, &cfg, &sampler);
         for t in 1..=5 {
-            let par = parkit::with_threads(t, || sketch_alg3_par_cols(&a, &cfg, &sampler));
+            let par = parkit::with_threads(t, || try_sketch_alg3_par_cols(&a, &cfg, &sampler))
+                .expect("benign input");
             assert_eq!(seq, par, "{t} threads");
         }
     }
@@ -273,7 +279,8 @@ mod tests {
         let cfg = SketchConfig::new(29, 10, 9, 3);
         let sampler = UnitUniform::<f64>::sampler(Rng::new(cfg.seed));
         let seq = sketch_alg3(&a, &cfg, &sampler);
-        assert_eq!(seq, sketch_alg3_par_cols(&a, &cfg, &sampler));
+        let pc = try_sketch_alg3_par_cols(&a, &cfg, &sampler).expect("benign input");
+        assert_eq!(seq, pc);
         assert_eq!(seq, sketch_alg3_par_rows(&a, &cfg, &sampler));
     }
 }

@@ -8,8 +8,8 @@
 
 use rngkit::{FastRng, Rademacher, UnitUniform};
 use sketchcore::{
-    config::alg3_samples, instrument, obs, sketch_alg3, sketch_alg3_instrumented,
-    sketch_alg3_signs, sketch_alg4, sketch_alg4_signs, SketchConfig,
+    config::alg3_samples, instrument, obs, sketch_alg3, sketch_alg3_instrumented, sketch_alg4,
+    SketchConfig,
 };
 use sparsekit::{BlockedCsr, CooMatrix, CscMatrix};
 use std::sync::Mutex;
@@ -113,15 +113,15 @@ fn global_counters_match_closed_form() {
         2 * cfg.d as u64 * a.nnz() as u64
     );
 
-    // ±1 signs are generated as i8, but the kernels still stream A's f64
-    // values and read/write Â's f64 tile, so on the same operand and
-    // blocking every counter equals the float kernel's.
-    let signs = Rademacher::<i8>::sampler(FastRng::new(cfg.seed));
+    // ±1 entries take one random bit each, but the kernels still stream
+    // A's f64 values and read/write Â's f64 tile, so on the same operand
+    // and blocking every counter equals the uniform kernel's.
+    let signs = Rademacher::<f64>::sampler(FastRng::new(cfg.seed));
     obskit::reset();
-    let _x3s = sketch_alg3_signs(&a, &cfg, &signs);
+    let _x3s = sketch_alg3(&a, &cfg, &signs);
     assert_eq!(obskit::snapshot().counters, s3.counters);
     obskit::reset();
-    let _x4s = sketch_alg4_signs(&blocked, &cfg, &signs);
+    let _x4s = sketch_alg4(&blocked, &cfg, &signs);
     assert_eq!(obskit::snapshot().counters, s4.counters);
     obskit::reset();
 }

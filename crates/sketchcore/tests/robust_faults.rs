@@ -1,14 +1,22 @@
-//! Fault-injection tests for the hardened sketch drivers.
+//! Fault-injection and memory-budget tests for the hardened sketch drivers.
 //!
-//! One test function on purpose: the faultkit plan and the
-//! `SKETCH_MEM_BUDGET` environment variable are process-global, and this
-//! integration binary gives them a process of their own, away from the
-//! crate's concurrent unit tests.
+//! The faultkit plan and the `SKETCH_MEM_BUDGET` environment variable are
+//! process-global, so this integration binary gives them a process of its
+//! own, away from the crate's concurrent unit tests, and its tests
+//! serialize on a lock.
 
 use rngkit::{FastRng, UnitUniform};
-use sketchcore::robust::{plan_blocks, try_sketch_alg3, try_sketch_alg3_par_cols};
-use sketchcore::{SketchConfig, SketchError};
+use sketchcore::{
+    sketch_alg3, try_sketch_alg3, try_sketch_alg3_multi, try_sketch_alg3_par_cols, SketchConfig,
+    SketchError,
+};
 use sparsekit::{CooMatrix, CscMatrix};
+use std::sync::Mutex;
+
+fn lock() -> std::sync::MutexGuard<'static, ()> {
+    static L: Mutex<()> = Mutex::new(());
+    L.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn small_input() -> CscMatrix<f64> {
     let mut coo = CooMatrix::new(40, 12);
@@ -25,6 +33,7 @@ fn small_input() -> CscMatrix<f64> {
 
 #[test]
 fn injected_faults_surface_as_typed_errors() {
+    let _g = lock();
     let a = small_input();
     let cfg = SketchConfig::new(24, 8, 4, 3);
     let sampler = UnitUniform::<f64>::sampler(FastRng::new(cfg.seed));
@@ -54,29 +63,59 @@ fn injected_faults_surface_as_typed_errors() {
         }
         other => panic!("expected WorkerPanic, got {other:?}"),
     }
+}
 
-    // Tight budget via env: output fits, working set must shrink.
-    let cfg_b = SketchConfig::new(64, 32, 16, 1);
-    let out_bytes = 64 * 100 * 8u64;
-    std::env::set_var("SKETCH_MEM_BUDGET", (out_bytes + 2048).to_string());
-    let plan = plan_blocks::<f64>(&cfg_b, 100);
-    std::env::remove_var("SKETCH_MEM_BUDGET");
-    let plan = plan.expect("degradation should fit");
-    assert!(plan.degraded > 0, "expected block degradation");
-    assert!(plan.cfg.b_d * plan.cfg.b_n < 32 * 16);
-    assert!(plan.need_bytes <= plan.budget_bytes);
-
-    // Budget below the irreducible output: typed failure, not an OOM.
-    std::env::set_var("SKETCH_MEM_BUDGET", (out_bytes - 1).to_string());
-    let r = plan_blocks::<f64>(&cfg_b, 100);
-    std::env::remove_var("SKETCH_MEM_BUDGET");
-    assert!(matches!(r, Err(SketchError::BudgetExceeded { .. })));
-
-    // Simulated allocation failure (sketch/alloc): the degradation path
-    // runs and the sketch still completes, bitwise equal to the clean one.
-    faultkit::set_plan_str("sketch/alloc=once", 0).expect("valid plan");
-    let degraded = try_sketch_alg3(&a, &cfg, &sampler).expect("degrades, not fails");
-    assert_eq!(faultkit::fired_count("sketch/alloc"), 1);
+/// The budget charges the outputs, `k·d·n` scalars, and nothing else: an
+/// output that fits exactly is computed with the caller's blocking, bit for
+/// bit, and one byte less is refused before anything is allocated. Two
+/// threads, so a rule that also charged per-worker working sets would
+/// refuse the exact fit.
+#[test]
+fn budget_charges_the_outputs_only() {
+    let _g = lock();
     faultkit::clear();
-    assert_eq!(degraded, clean);
+    let a = small_input();
+    let cfg = SketchConfig::new(24, 8, 4, 3);
+    let samplers: Vec<_> = (0..2)
+        .map(|r| UnitUniform::<f64>::sampler(FastRng::new(cfg.seed + r)))
+        .collect();
+    let want: Vec<_> = samplers.iter().map(|s| sketch_alg3(&a, &cfg, s)).collect();
+    let output = (cfg.d * a.ncols() * std::mem::size_of::<f64>()) as u64;
+    assert_eq!(output, 2304);
+
+    type Run<'a> = Box<dyn Fn() -> Result<Vec<densekit::Matrix<f64>>, SketchError> + 'a>;
+    let drivers: [(&str, u64, Run); 3] = [
+        (
+            "try_sketch_alg3",
+            output,
+            Box::new(|| try_sketch_alg3(&a, &cfg, &samplers[0]).map(|m| vec![m])),
+        ),
+        (
+            "try_sketch_alg3_par_cols",
+            output,
+            Box::new(|| try_sketch_alg3_par_cols(&a, &cfg, &samplers[0]).map(|m| vec![m])),
+        ),
+        (
+            "try_sketch_alg3_multi",
+            2 * output,
+            Box::new(|| try_sketch_alg3_multi(&a, &cfg, &samplers, true)),
+        ),
+    ];
+    for (name, need, run) in &drivers {
+        std::env::set_var("SKETCH_MEM_BUDGET", need.to_string());
+        let fits = parkit::with_threads(2, run);
+        std::env::set_var("SKETCH_MEM_BUDGET", (need - 1).to_string());
+        let over = parkit::with_threads(2, run);
+        std::env::remove_var("SKETCH_MEM_BUDGET");
+
+        let got = fits.unwrap_or_else(|e| panic!("{name}: exact fit refused: {e}"));
+        assert_eq!(got[..], want[..got.len()], "{name}: sketch changed");
+        match over {
+            Err(SketchError::BudgetExceeded {
+                need_bytes,
+                budget_bytes,
+            }) => assert_eq!((need_bytes, budget_bytes), (*need, need - 1), "{name}"),
+            other => panic!("{name}: expected BudgetExceeded, got {other:?}"),
+        }
+    }
 }

@@ -14,7 +14,7 @@
 //! * [`server`] — acceptor → bounded queue with admission control
 //!   (overload rejection, per-request deadlines) → parkit workers whose
 //!   batcher coalesces compatible `Sketch` requests into one
-//!   [`sketchcore::sketch_alg3_multi`] traversal of `A`.
+//!   [`sketchcore::try_sketch_alg3_multi`] traversal of `A`.
 //! * [`client`] — blocking client + connection pool (the `sketchclient`
 //!   side), used by `sketchctl`, the bench crate's `loadgen`, and the
 //!   integration tests.

@@ -4,7 +4,7 @@
 //! vary the sketch seed — so matrices are loaded once, validated once,
 //! and pinned in memory by name. The registry enforces a byte budget
 //! (default: a quarter of [`sketchcore::robust::memory_budget_bytes`], the
-//! same `SKETCH_MEM_BUDGET` knob the sketch planner honors) by evicting
+//! same `SKETCH_MEM_BUDGET` knob the hardened sketches honor) by evicting
 //! least-recently-used entries — but only entries no in-flight request
 //! holds: each `get` hands out an `Arc`, and an entry whose `Arc` is still
 //! shared is skipped by eviction. A load that cannot fit even after
@@ -78,7 +78,7 @@ impl Registry {
         }
     }
 
-    /// The default serving budget: a quarter of the planner's
+    /// The default serving budget: a quarter of the sketches'
     /// `SKETCH_MEM_BUDGET`, leaving headroom for sketch outputs and batch
     /// buffers.
     pub fn default_budget() -> u64 {

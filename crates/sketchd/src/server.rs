@@ -24,7 +24,7 @@
 //! The **batcher** lives in the worker loop: after popping a `Sketch` job
 //! it drains up to `batch_max − 1` further queued `Sketch` jobs against
 //! the same `(name, d, b_d, b_n)` and serves them all with one
-//! [`sketchcore::sketch_alg3_multi`] pass — one traversal of `A` for the
+//! [`sketchcore::try_sketch_alg3_multi`] pass — one traversal of `A` for the
 //! whole batch. Responses are per-request and bitwise identical to
 //! sequential execution (the kernel's contract, re-asserted by the
 //! service tests).
@@ -593,7 +593,7 @@ fn drain_batch(shared: &Arc<Shared>, first: Job) -> Vec<Job> {
     batch
 }
 
-/// Run one sketch batch: one `sketch_alg3_multi` traversal, one reply per
+/// Run one sketch batch: one `try_sketch_alg3_multi` traversal, one reply per
 /// member. Any panic in the kernel (or the `svc/dispatch` failpoint) is
 /// contained here — each member gets a typed `Internal` frame and the
 /// worker returns to the queue.

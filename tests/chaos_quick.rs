@@ -13,8 +13,7 @@ use bench::chaos::{self, ChaosConfig, Outcome};
 #[test]
 fn quick_matrix_never_panics_or_hangs() {
     // Counters on: `recovered` cells are classified off the recovery
-    // counter deltas (sap.retries / sap.fallback_svd /
-    // budget.degraded_blocks).
+    // counter deltas (sap.retries / sap.fallback_svd).
     obskit::set_enabled(true);
     obskit::reset();
 
@@ -51,6 +50,17 @@ fn quick_matrix_never_panics_or_hangs() {
                 "{} x {} should be rejected by validation: {}",
                 c.scenario,
                 c.fault,
+                c.detail
+            );
+        }
+        // An output one byte over the memory budget is refused up front,
+        // and SAP does not retry it.
+        if c.fault == "tight_budget" {
+            assert_eq!(
+                c.outcome,
+                Outcome::TypedError,
+                "{} over budget should be refused: {}",
+                c.scenario,
                 c.detail
             );
         }

@@ -10,8 +10,8 @@ use lstsq::{
 };
 use parkit::with_threads;
 use rngkit::{FastRng, Rademacher, UnitUniform};
-use sketchcore::parallel::{sketch_alg3_par_cols, sketch_alg3_par_rows, sketch_alg4_par_rows};
-use sketchcore::{sketch_alg3, sketch_alg4, SketchConfig};
+use sketchcore::parallel::{sketch_alg3_par_rows, sketch_alg4_par_rows};
+use sketchcore::{sketch_alg3, sketch_alg4, try_sketch_alg3_par_cols, SketchConfig};
 use sparsekit::BlockedCsr;
 
 fn uni(seed: u64) -> rngkit::DistSampler<UnitUniform<f64>, FastRng> {
@@ -31,7 +31,10 @@ fn every_kernel_and_baseline_computes_the_same_sketch() {
     let s = materialize_s(&sampler, cfg.d, a.nrows(), cfg.b_d);
     let candidates = [
         ("alg4", x4),
-        ("alg3_par_cols", sketch_alg3_par_cols(&a, &cfg, &sampler)),
+        (
+            "alg3_par_cols",
+            try_sketch_alg3_par_cols(&a, &cfg, &sampler).expect("benign input"),
+        ),
         ("alg3_par_rows", sketch_alg3_par_rows(&a, &cfg, &sampler)),
         (
             "alg4_par_rows",

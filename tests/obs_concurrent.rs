@@ -14,7 +14,7 @@
 
 use obskit::trace::TraceKind;
 use rngkit::{FastRng, UnitUniform};
-use sketchcore::{sketch_alg3, sketch_alg3_par_cols, SketchConfig};
+use sketchcore::{sketch_alg3, try_sketch_alg3_par_cols, SketchConfig};
 
 #[test]
 fn scoped_threads_lose_no_telemetry_and_match_serial() {
@@ -30,14 +30,16 @@ fn scoped_threads_lose_no_telemetry_and_match_serial() {
 
     // Same driver at 1 thread: the counter baseline for the threaded run.
     obskit::reset();
-    let x1 = parkit::with_threads(1, || sketch_alg3_par_cols(&a, &cfg, &sampler));
+    let x1 = parkit::with_threads(1, || try_sketch_alg3_par_cols(&a, &cfg, &sampler))
+        .expect("benign input");
     let snap1 = obskit::snapshot();
 
     // ≥4 threads with the flight recorder armed.
     obskit::trace::set_enabled(true);
     let _ = obskit::trace::take();
     obskit::reset();
-    let x4 = parkit::with_threads(4, || sketch_alg3_par_cols(&a, &cfg, &sampler));
+    let x4 = parkit::with_threads(4, || try_sketch_alg3_par_cols(&a, &cfg, &sampler))
+        .expect("benign input");
     let snap4 = obskit::snapshot();
     obskit::trace::set_enabled(false);
     let cap = obskit::trace::take();
@@ -115,9 +117,7 @@ fn scoped_threads_lose_no_telemetry_and_match_serial() {
     assert!(faultkit::set_plan_str("parkit/worker=once", 0xFA11).is_ok());
     obskit::trace::set_enabled(true);
     let _ = obskit::trace::take();
-    let res = parkit::with_threads(4, || {
-        sketchcore::try_sketch_alg3_par_cols(&a, &cfg, &sampler)
-    });
+    let res = parkit::with_threads(4, || try_sketch_alg3_par_cols(&a, &cfg, &sampler));
     obskit::trace::set_enabled(false);
     let cap = obskit::trace::take();
     faultkit::clear();

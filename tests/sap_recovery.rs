@@ -41,6 +41,9 @@ fn within<R: Send + 'static>(
                 .or_else(|| p.downcast_ref::<String>().cloned())
                 .unwrap_or_default()
         });
+        // Publish this thread's telemetry before the caller can see the
+        // result (and release `serial()`), not when the thread exits.
+        obskit::flush_thread();
         let _ = tx.send(out);
     });
     rx.recv_timeout(Duration::from_secs(secs))
