@@ -20,7 +20,7 @@ fn uni_sampler(seed: u64) -> rngkit::DistSampler<UnitUniform<f64>, Rng> {
 
 fn sign_sampler(seed: u64) -> rngkit::DistSampler<Rademacher<f64>, Rng> {
     // The fused ±1 path: each random bit flips the sign of A[j,k] with a
-    // bit-XOR — faster than materializing i8 signs.
+    // bit-XOR, no multiply.
     Rademacher::<f64>::sampler(Rng::new(seed))
 }
 
