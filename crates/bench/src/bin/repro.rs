@@ -24,8 +24,8 @@
 //! ```
 //!
 //! With no target, `smoke` runs. `--obs-json PATH` (or `SKETCH_OBS_JSON`)
-//! writes the run's telemetry — span timings, sample/seek/byte counters,
-//! solver and traffic events — as JSONL when the run finishes; the human
+//! writes the run's telemetry — span and block histograms, sample/seek/
+//! flop/byte/iteration counters — as JSONL when the run finishes; the human
 //! summary prints either way unless telemetry is off (`SKETCH_OBS=0`).
 //!
 //! `--trace-out PATH` arms the flight recorder (`obskit::trace`) for the

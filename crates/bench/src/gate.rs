@@ -17,9 +17,9 @@
 //!   `sap_e2e` splits into SAP's sketch, factor and solve stages).
 //! * [`Baseline`] embeds a run manifest — git SHA, suite seed, scale,
 //!   the build and host identity (rustc, compile-time and runtime CPU
-//!   features, CPU brand, core count), cargo features, an obskit counter
-//!   snapshot and the measured-vs-model traffic ratios — for provenance,
-//!   and round-trips through the hand-rolled [`crate::json`] module.
+//!   features, CPU brand, core count), an obskit counter snapshot and the
+//!   measured-vs-model traffic ratios — for provenance, and round-trips
+//!   through the hand-rolled [`crate::json`] module.
 //! * [`compare`] is the noise-aware gate: per-scenario medians are compared
 //!   with a MAD-scaled threshold (`max(rel_tol·median, k·MAD)`), so only
 //!   changes that clear both the relative floor and the run's own measured
@@ -427,8 +427,6 @@ pub struct Manifest {
     pub runtime_features: String,
     /// CPU brand string of the recording host.
     pub cpu: String,
-    /// Cargo features compiled in (currently `obs` or nothing).
-    pub cargo_features: Vec<String>,
     /// obskit crate version.
     pub obskit_version: String,
     /// Whole-suite counter totals (sum over one repetition of each
@@ -457,11 +455,6 @@ impl Manifest {
             target_features: ident::target_features(),
             runtime_features: ident::runtime_features(),
             cpu: ident::cpu(),
-            cargo_features: if obskit::OBS_COMPILED {
-                vec!["obs".to_string()]
-            } else {
-                Vec::new()
-            },
             obskit_version: obskit::VERSION.to_string(),
             counters: [0; NCTR],
             traffic_ratios: Vec::new(),
@@ -594,9 +587,10 @@ fn run_scenario_acc(
     })
 }
 
-// Fold snapshot `s` into `acc`: counters add, histograms merge per path (exact — see `Hist::merge`), events concatenate. Used to
-// build the suite-wide telemetry export out of per-scenario snapshots that
-// `run_scenario`'s reset-between-reps discipline would otherwise discard.
+// Fold snapshot `s` into `acc`: counters add, histograms merge per path
+// (exact — see `Hist::merge`). Used to build the suite-wide telemetry export
+// out of per-scenario snapshots that `run_scenario`'s reset-between-reps
+// discipline would otherwise discard.
 fn merge_snapshot(acc: &mut obskit::Snapshot, s: &obskit::Snapshot) {
     for (slot, v) in s.counters.iter().enumerate() {
         acc.counters[slot] += v;
@@ -607,8 +601,6 @@ fn merge_snapshot(acc: &mut obskit::Snapshot, s: &obskit::Snapshot) {
             None => acc.hists.push((path.clone(), h.clone())),
         }
     }
-    acc.events.extend(s.events.iter().cloned());
-    acc.dropped_events += s.dropped_events;
 }
 
 /// Run the whole suite at `cfg` (telemetry forced on for the duration so
@@ -805,15 +797,6 @@ impl Baseline {
                 Jval::Str(m.runtime_features.clone()),
             ),
             ("cpu".into(), Jval::Str(m.cpu.clone())),
-            (
-                "cargo_features".into(),
-                Jval::Arr(
-                    m.cargo_features
-                        .iter()
-                        .map(|f| Jval::Str(f.clone()))
-                        .collect(),
-                ),
-            ),
             ("obskit_version".into(), Jval::Str(m.obskit_version.clone())),
             ("counters".into(), counters_to_json(&m.counters)),
             (
@@ -896,13 +879,6 @@ impl Baseline {
             target_features: build_field(m, "target_features"),
             runtime_features: build_field(m, "runtime_features"),
             cpu: build_field(m, "cpu"),
-            cargo_features: m
-                .get("cargo_features")
-                .and_then(Jval::as_arr)
-                .ok_or("missing cargo_features")?
-                .iter()
-                .filter_map(|f| f.as_str().map(str::to_string))
-                .collect(),
             obskit_version: str_field(m, "obskit_version")?,
             counters: counters_from_json(m.get("counters").ok_or("missing manifest counters")?)?,
             traffic_ratios: match m.get("traffic_ratios") {
@@ -1147,7 +1123,6 @@ mod tests {
                 target_features: "fxsr,sse,sse2".into(),
                 runtime_features: "avx,avx2,fma".into(),
                 cpu: "Test CPU @ 1.00GHz".into(),
-                cargo_features: vec!["obs".into()],
                 obskit_version: "0.1.0".into(),
                 counters: [0; NCTR],
                 traffic_ratios: vec![("alg3".into(), 1.5)],
@@ -1344,14 +1319,11 @@ mod tests {
                 c[Ctr::Samples as usize] = 5;
                 c
             },
-            events: vec![],
-            dropped_events: 1,
         };
         merge_snapshot(&mut acc, &s1);
         merge_snapshot(&mut acc, &s1);
         assert_eq!(acc.counters[Ctr::Samples as usize], 10);
         assert_eq!((acc.hists[0].1.count(), acc.hists[0].1.sum()), (2, 200));
-        assert_eq!(acc.dropped_events, 2);
         // A second path lands as its own entry.
         let s2 = obskit::Snapshot {
             hists: vec![("b".into(), h1)],

@@ -364,9 +364,9 @@ pub fn toy_problem() -> (CscMatrix<f64>, SketchConfig) {
 /// every kernel agrees on a toy problem and returns the elapsed seconds.
 ///
 /// When telemetry is on, the per-kernel byte counters are diffed around each
-/// kernel and compared against the §III-A cost model; the comparisons are
-/// printed and recorded as obskit `traffic` events (one per kernel), which is
-/// what `repro --obs-json` exports.
+/// kernel and compared against the §III-A cost model; each comparison is
+/// printed as one `render` line per kernel. (`repro --obs-json` exports the
+/// counters the comparison is computed from, not the comparison.)
 pub fn smoke() -> f64 {
     use obskit::Ctr;
     use sketchcore::{CostModel, TrafficReport};
@@ -391,7 +391,6 @@ pub fn smoke() -> f64 {
             let measured = (hi[Ctr::BytesA as usize] - lo[Ctr::BytesA as usize])
                 + (hi[Ctr::BytesOut as usize] - lo[Ctr::BytesOut as usize]);
             let rep = TrafficReport::compare(&model, rho, cfg.b_n, flops, 8, measured);
-            rep.emit(kernel);
             println!("{}", rep.render(kernel));
         }
     }

@@ -35,36 +35,32 @@ fn baseline_written_json_parses_back_identically() {
     assert_eq!(base.scenarios.len(), 11, "full suite recorded");
     assert!(base.manifest.threads >= 1);
     assert_eq!(base.manifest.obskit_version, obskit::VERSION);
-    assert_eq!(
+    assert!(
         base.manifest.counters.iter().any(|&c| c > 0),
-        obskit::OBS_COMPILED,
-        "manifest counters populated iff telemetry is compiled in"
+        "manifest counters populated"
     );
-    if obskit::OBS_COMPILED {
-        assert_eq!(base.manifest.cargo_features, vec!["obs".to_string()]);
-        assert_eq!(base.manifest.traffic_ratios.len(), 2, "alg3 + alg4 ratios");
-        // The kernel scenarios must have produced latency histograms.
-        let alg3 = base
-            .scenarios
+    assert_eq!(base.manifest.traffic_ratios.len(), 2, "alg3 + alg4 ratios");
+    // The kernel scenarios must have produced latency histograms.
+    let alg3 = base
+        .scenarios
+        .iter()
+        .find(|s| s.name == "alg3_tall")
+        .unwrap();
+    assert!(
+        alg3.hists
             .iter()
-            .find(|s| s.name == "alg3_tall")
-            .unwrap();
+            .any(|h| h.path == "sketch/alg3/block" && h.count > 0),
+        "alg3_tall records per-block histograms, got {:?}",
+        alg3.hists
+    );
+    // Spans are histograms, so the SAP scenario splits into its stages.
+    let sap = base.scenarios.iter().find(|s| s.name == "sap_e2e").unwrap();
+    for stage in ["lstsq/sap/sketch", "lstsq/sap/factor", "lstsq/sap/solve"] {
         assert!(
-            alg3.hists
-                .iter()
-                .any(|h| h.path == "sketch/alg3/block" && h.count > 0),
-            "alg3_tall records per-block histograms, got {:?}",
-            alg3.hists
+            sap.hists.iter().any(|h| h.path == stage && h.count == 1),
+            "sap_e2e records {stage} once, got {:?}",
+            sap.hists
         );
-        // Spans are histograms, so the SAP scenario splits into its stages.
-        let sap = base.scenarios.iter().find(|s| s.name == "sap_e2e").unwrap();
-        for stage in ["lstsq/sap/sketch", "lstsq/sap/factor", "lstsq/sap/solve"] {
-            assert!(
-                sap.hists.iter().any(|h| h.path == stage && h.count == 1),
-                "sap_e2e records {stage} once, got {:?}",
-                sap.hists
-            );
-        }
     }
     let text = base.to_json();
     let back = Baseline::from_json(&text).expect("parse back what we wrote");
@@ -142,9 +138,6 @@ fn injected_slowdown_trips_the_gate() {
 #[test]
 fn time_median_counters_do_not_scale_with_reps() {
     let _g = lock();
-    if !obskit::OBS_COMPILED {
-        return;
-    }
     let was = obskit::enabled();
     obskit::set_enabled(true);
     let work = || {

@@ -85,13 +85,13 @@ fn scale_in_place(v: &mut [f64], s: f64) {
 
 /// Run LSQR on `op` with right-hand side `b`.
 ///
-/// When obskit telemetry is on, every iteration is recorded as an
-/// `lsqr_iter` event carrying the iteration number, the relative
-/// normal-equation residual and the elapsed seconds — the convergence traces
-/// behind Table IX.
+/// Table IX's iteration counts are [`LsqrResult::iters`]. When obskit
+/// telemetry is on, each iteration's time lands in the `lstsq/lsqr/iter`
+/// histogram and the total in the `solver_iters` counter; with the flight
+/// recorder on, each iteration's `IterEnd` record carries its number and
+/// relative residual.
 pub fn lsqr<A: LinOp>(op: &mut A, b: &[f64], opts: &LsqrOptions) -> LsqrResult {
     let _sp = obskit::span("lstsq/lsqr");
-    let t_start = std::time::Instant::now();
     let recording = obskit::enabled();
     let tracing = obskit::trace_enabled();
     let m = op.nrows();
@@ -227,20 +227,6 @@ pub fn lsqr<A: LinOp>(op: &mut A, b: &[f64], opts: &LsqrOptions) -> LsqrResult {
                     [iters as u64, rel_atr.to_bits(), 0, 0, 0, 0],
                 );
             }
-        }
-        if recording {
-            obskit::event(
-                "lsqr_iter",
-                vec![
-                    ("iter", obskit::Value::U(iters as u64)),
-                    ("rel_resid", obskit::Value::F(rel_atr)),
-                    ("resid_norm", obskit::Value::F(rnorm)),
-                    (
-                        "elapsed_s",
-                        obskit::Value::F(t_start.elapsed().as_secs_f64()),
-                    ),
-                ],
-            );
         }
         if let Some(reason) = stopping {
             stop = reason;

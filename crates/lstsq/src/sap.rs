@@ -260,19 +260,6 @@ fn sap_pass(
     precond.apply(&result.x, &mut x);
     let solve_s = t2.elapsed().as_secs_f64();
 
-    obskit::event(
-        "sap",
-        vec![
-            ("flavor", obskit::Value::S(format!("{:?}", opts.flavor))),
-            ("n", obskit::Value::U(n as u64)),
-            ("d", obskit::Value::U(d as u64)),
-            ("iters", obskit::Value::U(result.iters as u64)),
-            ("sketch_s", obskit::Value::F(sketch_s)),
-            ("factor_s", obskit::Value::F(factor_s)),
-            ("solve_s", obskit::Value::F(solve_s)),
-        ],
-    );
-
     Ok(SapReport {
         x,
         iters: result.iters,
@@ -349,17 +336,6 @@ pub fn try_solve_sap_with(
                 if attempt + 1 < attempts {
                     retries += 1;
                     obskit::add(obskit::Ctr::SapRetries, 1);
-                    obskit::event(
-                        "sap_retry",
-                        vec![
-                            ("attempt", obskit::Value::U(attempt as u64 + 1)),
-                            (
-                                "gamma_next",
-                                obskit::Value::U(escalated_gamma(gamma, attempt + 1) as u64),
-                            ),
-                            ("cause", obskit::Value::S(e.to_string())),
-                        ],
-                    );
                 }
                 last_err = Some(e);
             }

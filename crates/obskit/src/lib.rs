@@ -16,20 +16,21 @@
 //!   or on demand.
 //! * **Counters** — typed tallies of samples drawn, `set_state` seeks,
 //!   flops, and bytes moved, bumped at *block* granularity by the kernels.
-//! * **Events** — per-iteration solver records (iteration, relative
-//!   residual, elapsed seconds) and free-form records like the
-//!   measured-vs-model traffic comparison.
 //! * **Sinks** — a human summary table ([`Snapshot::summary`]) and
 //!   machine-readable JSONL ([`Snapshot::write_jsonl`], path from
 //!   `SKETCH_OBS_JSON` or the `repro --obs-json` flag).
 //!
+//! Every record is keyed by a code path (a counter slot or a histogram
+//! path), so the registry, a snapshot and its JSONL grow with the paths a
+//! run takes, not with the work it does. Per-occurrence records belong to
+//! the opt-in flight recorder ([`trace`]), whose rings are fixed-capacity.
+//!
 //! ## Gating
 //!
-//! Recording is off when the `obs` cargo feature is disabled (compile-time,
-//! every call is a removable no-op) or when `SKETCH_OBS=0` (run-time). The
-//! run-time disabled path costs exactly one relaxed atomic load per call —
-//! the kernels only call at block granularity, never per nonzero, so the
-//! uninstrumented hot loops run at full speed.
+//! Recording is off when `SKETCH_OBS=0`. The disabled path costs exactly
+//! one relaxed atomic load per call — the kernels only call at block
+//! granularity, never per nonzero, so the uninstrumented hot loops run at
+//! full speed.
 //!
 //! ## No dependencies
 //!
@@ -93,10 +94,6 @@ pub const CTR_NAMES: [&str; NCTR] = [
     "svc.deadline_missed",
     "svc.batched",
 ];
-
-/// Hard cap on buffered events; beyond it events are counted as dropped
-/// rather than silently discarded.
-pub const MAX_EVENTS: usize = 1 << 20;
 
 // --- histograms --------------------------------------------------------
 
@@ -336,9 +333,6 @@ fn init_gate() -> u8 {
 
 #[inline(always)]
 fn gate() -> u8 {
-    if !cfg!(feature = "obs") {
-        return GATE_INIT;
-    }
     let g = GATE.load(Ordering::Relaxed);
     if g & GATE_INIT != 0 {
         g
@@ -379,18 +373,13 @@ pub fn any_enabled() -> bool {
 /// Crate version, for embedding in run manifests.
 pub const VERSION: &str = env!("CARGO_PKG_VERSION");
 
-/// Was the `obs` feature compiled in? (Run manifests record this; without
-/// it every counter is dead code and a recorded baseline would be all
-/// zeros.)
-pub const OBS_COMPILED: bool = cfg!(feature = "obs");
-
 /// Override the `SKETCH_OBS` gate programmatically (tests, harnesses).
 /// The flight-recorder gate ([`trace::set_enabled`]) is left untouched.
 pub fn set_enabled(on: bool) {
     store_gate_bit(GATE_OBS, on);
 }
 
-/// Process epoch for event timestamps (first telemetry touch).
+/// Process epoch for trace timestamps (first telemetry touch).
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
@@ -398,37 +387,9 @@ fn epoch() -> Instant {
 
 // --- global registry ---------------------------------------------------
 
-/// One recorded event: a kind tag plus typed fields.
-#[derive(Clone, Debug)]
-pub struct Event {
-    /// Event kind (e.g. `"lsqr_iter"`, `"traffic"`).
-    pub kind: &'static str,
-    /// Seconds since the process telemetry epoch.
-    pub ts: f64,
-    /// Field name/value pairs.
-    pub fields: Vec<(&'static str, Value)>,
-}
-
-/// A typed event field value.
-#[derive(Clone, Debug)]
-pub enum Value {
-    /// Unsigned integer.
-    U(u64),
-    /// Signed integer.
-    I(i64),
-    /// Floating point.
-    F(f64),
-    /// String.
-    S(String),
-    /// Boolean.
-    B(bool),
-}
-
 struct Registry {
     hists: Mutex<HashMap<&'static str, Hist>>,
     counters: [AtomicU64; NCTR],
-    events: Mutex<Vec<Event>>,
-    dropped_events: AtomicU64,
 }
 
 /// Take a telemetry mutex, recovering from poisoning. A poisoned lock here
@@ -445,8 +406,6 @@ fn registry() -> &'static Registry {
     REG.get_or_init(|| Registry {
         hists: Mutex::new(HashMap::new()),
         counters: std::array::from_fn(|_| AtomicU64::new(0)),
-        events: Mutex::new(Vec::new()),
-        dropped_events: AtomicU64::new(0),
     })
 }
 
@@ -514,9 +473,6 @@ pub fn add(c: Ctr, n: u64) {
 /// calls this at the end of every worker closure — the "merge at join
 /// points" contract — and it is harmless to call redundantly.
 pub fn flush_thread() {
-    if !cfg!(feature = "obs") {
-        return;
-    }
     with_local(|l| l.flush());
 }
 
@@ -571,21 +527,6 @@ pub fn span(path: &'static str) -> SpanGuard {
     }
 }
 
-/// Record an event (bounded buffer; overflow is counted, not silent).
-pub fn event(kind: &'static str, fields: Vec<(&'static str, Value)>) {
-    if !enabled() {
-        return;
-    }
-    let ts = epoch().elapsed().as_secs_f64();
-    let reg = registry();
-    let mut ev = lock_clean(&reg.events);
-    if ev.len() >= MAX_EVENTS {
-        reg.dropped_events.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    ev.push(Event { kind, ts, fields });
-}
-
 // --- snapshot & sinks --------------------------------------------------
 
 /// A point-in-time copy of everything recorded so far.
@@ -595,10 +536,6 @@ pub struct Snapshot {
     pub hists: Vec<(String, Hist)>,
     /// Counter values in [`Ctr`] slot order.
     pub counters: [u64; NCTR],
-    /// Recorded events in arrival order.
-    pub events: Vec<Event>,
-    /// Events lost to the [`MAX_EVENTS`] cap.
-    pub dropped_events: u64,
 }
 
 /// Snapshot the registry (flushes the calling thread first).
@@ -613,12 +550,10 @@ pub fn snapshot() -> Snapshot {
     Snapshot {
         hists,
         counters: std::array::from_fn(|i| reg.counters[i].load(Ordering::Relaxed)),
-        events: lock_clean(&reg.events).clone(),
-        dropped_events: reg.dropped_events.load(Ordering::Relaxed),
     }
 }
 
-/// Clear all recorded histograms, counters and events (calling thread flushed
+/// Clear all recorded histograms and counters (calling thread flushed
 /// and discarded first). Other threads' unflushed locals survive a reset.
 ///
 /// **Long-lived servers must not call this.** `reset()` exists for
@@ -632,9 +567,6 @@ pub fn snapshot() -> Snapshot {
 /// read-only on the registry, so any number of concurrent `Stats` calls
 /// observe monotone, race-free values.
 pub fn reset() {
-    if !cfg!(feature = "obs") {
-        return;
-    }
     with_local(|l| {
         l.counters = [0; NCTR];
         l.hists.clear();
@@ -644,8 +576,6 @@ pub fn reset() {
     for c in &reg.counters {
         c.store(0, Ordering::Relaxed);
     }
-    lock_clean(&reg.events).clear();
-    reg.dropped_events.store(0, Ordering::Relaxed);
 }
 
 /// The JSONL sink path configured by the environment (`SKETCH_OBS_JSON`).
@@ -675,9 +605,7 @@ pub fn resolve_json_sink(cli: Option<String>) -> Option<String> {
 pub fn emit_run_telemetry(json_path: Option<&str>) -> std::io::Result<bool> {
     if !enabled() {
         if json_path.is_some() {
-            eprintln!(
-                "--obs-json given but telemetry is off (SKETCH_OBS=0 or the obs feature is disabled); nothing written"
-            );
+            eprintln!("--obs-json given but telemetry is off (SKETCH_OBS=0); nothing written");
         }
         return Ok(false);
     }
@@ -716,28 +644,6 @@ fn json_f64(out: &mut String, x: f64) {
     }
 }
 
-impl Value {
-    fn write_json(&self, out: &mut String) {
-        match self {
-            Value::U(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Value::I(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Value::F(v) => json_f64(out, *v),
-            Value::S(v) => {
-                out.push('"');
-                json_escape(out, v);
-                out.push('"');
-            }
-            Value::B(v) => {
-                let _ = write!(out, "{v}");
-            }
-        }
-    }
-}
-
 impl Snapshot {
     /// Counter-wise `self − base` (saturating): the delta a long-lived
     /// process reports without ever resetting the global registry. `base`
@@ -750,14 +656,13 @@ impl Snapshot {
 
     /// Serialize as JSONL: one `meta` line, one `hist` line per path (a
     /// span's count and total are its `count` and `sum_ns`), one line per
-    /// counter, one per event.
+    /// nonzero counter.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{{\"type\":\"meta\",\"obskit\":\"{}\",\"dropped_events\":{}}}",
-            env!("CARGO_PKG_VERSION"),
-            self.dropped_events
+            "{{\"type\":\"meta\",\"obskit\":\"{}\"}}",
+            env!("CARGO_PKG_VERSION")
         );
         for (path, h) in &self.hists {
             if h.is_empty() {
@@ -790,20 +695,6 @@ impl Snapshot {
                     self.counters[slot]
                 );
             }
-        }
-        for ev in &self.events {
-            let mut line = String::from("{\"type\":\"event\",\"kind\":\"");
-            json_escape(&mut line, ev.kind);
-            line.push_str("\",\"ts\":");
-            json_f64(&mut line, ev.ts);
-            for (name, val) in &ev.fields {
-                line.push_str(",\"");
-                json_escape(&mut line, name);
-                line.push_str("\":");
-                val.write_json(&mut line);
-            }
-            line.push('}');
-            let _ = writeln!(out, "{line}");
         }
         out
     }
@@ -857,9 +748,6 @@ impl Snapshot {
                 let _ = writeln!(out, "{name:<width$}  {:>8}", self.counters[slot]);
             }
         }
-        if self.dropped_events > 0 {
-            let _ = writeln!(out, "(events dropped: {})", self.dropped_events);
-        }
         out
     }
 }
@@ -911,7 +799,6 @@ mod tests {
         set_enabled(false);
         add(Ctr::Flops, 100);
         hist_record_ns("x", 1);
-        event("e", vec![("a", Value::U(1))]);
         {
             let _s = span("x/guard");
         }
@@ -919,7 +806,6 @@ mod tests {
         let s = snapshot();
         assert_eq!(s.counters[Ctr::Flops as usize], 0);
         assert!(s.hists.is_empty());
-        assert!(s.events.is_empty());
     }
 
     #[test]
@@ -964,30 +850,20 @@ mod tests {
         reset();
         add(Ctr::Samples, 42);
         hist_record_ns("sketch/alg3", 1_500_000);
-        event(
-            "lsqr_iter",
-            vec![
-                ("iter", Value::U(1)),
-                ("rel_resid", Value::F(0.5)),
-                ("note", Value::S("a \"quoted\" str".into())),
-                ("nan", Value::F(f64::NAN)),
-                ("ok", Value::B(true)),
-                ("delta", Value::I(-3)),
-            ],
-        );
+        hist_record_ns("odd/a \"quoted\" path", 7);
         let text = snapshot().to_jsonl();
         let lines: Vec<&str> = text.lines().collect();
-        assert!(lines[0].contains("\"type\":\"meta\""));
+        assert_eq!(
+            lines[0],
+            format!("{{\"type\":\"meta\",\"obskit\":\"{VERSION}\"}}")
+        );
         assert!(text.contains(
             "\"type\":\"hist\",\"path\":\"sketch/alg3\",\"count\":1,\"sum_ns\":1500000,"
         ));
         assert!(!text.contains("\"type\":\"span\""));
         assert!(text.contains("\"type\":\"counter\",\"name\":\"samples\",\"value\":42"));
-        assert!(text.contains("\"kind\":\"lsqr_iter\""));
-        assert!(text.contains("\"note\":\"a \\\"quoted\\\" str\""));
-        assert!(text.contains("\"nan\":null"));
-        assert!(text.contains("\"ok\":true"));
-        assert!(text.contains("\"delta\":-3"));
+        assert!(text.contains("\"path\":\"odd/a \\\"quoted\\\" path\""));
+        assert_eq!(lines.len(), 4, "meta, two hists, one counter:\n{text}");
         // Every line parses as a flat JSON object by eye: starts '{' ends '}'.
         for l in &lines {
             assert!(l.starts_with('{') && l.ends_with('}'), "bad line {l}");
@@ -1044,17 +920,6 @@ mod tests {
         assert!(txt.contains("\n  sketch/alg3 "));
         reset();
         assert!(snapshot().summary().contains("nothing recorded"));
-    }
-
-    #[test]
-    fn event_cap_counts_drops() {
-        let _g = lock();
-        set_enabled(true);
-        reset();
-        // Don't actually push 1M events; emulate by filling close to cap via
-        // direct registry access is private — so just verify the field is
-        // plumbed through the snapshot.
-        assert_eq!(snapshot().dropped_events, 0);
     }
 
     #[test]

@@ -163,20 +163,6 @@ impl TrafficReport {
         }
     }
 
-    /// Record this comparison as an obskit `traffic` event tagged with the
-    /// kernel name (no-op when telemetry is off).
-    pub fn emit(&self, kernel: &'static str) {
-        obskit::event(
-            "traffic",
-            vec![
-                ("kernel", obskit::Value::S(kernel.to_string())),
-                ("measured_bytes", obskit::Value::U(self.measured_bytes)),
-                ("modeled_bytes", obskit::Value::F(self.modeled_bytes)),
-                ("ratio", obskit::Value::F(self.ratio)),
-            ],
-        );
-    }
-
     /// One-line human rendering for run summaries.
     pub fn render(&self, kernel: &str) -> String {
         format!(

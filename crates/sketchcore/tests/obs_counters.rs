@@ -71,7 +71,6 @@ fn instrumented_alg3_bitwise_identical_with_closed_form_counts() {
 /// The plain kernels' block-granularity counters land in the global registry
 /// with the same closed-form totals the instrumented drivers report.
 #[test]
-#[cfg_attr(not(feature = "obs"), ignore = "recording is compiled out")]
 fn global_counters_match_closed_form() {
     let _g = lock();
     let a = random_csc(70, 40, 500, 7);
@@ -131,7 +130,6 @@ fn global_counters_match_closed_form() {
 /// as counters, all equal to the timing handed back to the caller; it
 /// records no block counters.
 #[test]
-#[cfg_attr(not(feature = "obs"), ignore = "recording is compiled out")]
 fn instrumented_run_records_its_timing() {
     let _g = lock();
     let a = random_csc(50, 30, 300, 5);
@@ -198,7 +196,6 @@ fn gate_off_records_nothing_but_timing_survives() {
 /// a block — the asymmetry the paper's Algorithm 4 exists to exploit — and
 /// the traffic comparison built from the counters is internally consistent.
 #[test]
-#[cfg_attr(not(feature = "obs"), ignore = "recording is compiled out")]
 fn traffic_report_from_real_counters() {
     let _g = lock();
     let a = random_csc(100, 60, 900, 13);

@@ -2,8 +2,7 @@
 //!
 //! One [`Client`] wraps one TCP connection; requests are written as frames
 //! and the reply is read synchronously (the protocol answers in request
-//! order per connection). A small [`Pool`] hands out connections for the
-//! load generator's concurrency sweep.
+//! order per connection).
 
 use crate::proto::{
     self, Frame, FrameReadError, FrameReader, HealthResp, LoadMatrixReq, LoadMatrixResp,
@@ -12,7 +11,6 @@ use crate::proto::{
 use std::fmt;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// Why a client call failed.
@@ -312,41 +310,5 @@ impl Client {
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
         self.roundtrip(Op::Shutdown, 0, Vec::new())?;
         Ok(())
-    }
-}
-
-/// A trivial blocking connection pool: check out a connection, use it,
-/// check it back in. Connections that errored should be dropped instead
-/// of returned.
-pub struct Pool {
-    addr: SocketAddr,
-    timeout: Duration,
-    idle: Mutex<Vec<Client>>,
-}
-
-impl Pool {
-    /// A pool of connections to `addr`.
-    pub fn new(addr: SocketAddr, timeout: Duration) -> Pool {
-        Pool {
-            addr,
-            timeout,
-            idle: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Check out an idle connection or dial a new one.
-    pub fn get(&self) -> Result<Client, ClientError> {
-        if let Some(c) = self.idle.lock().unwrap_or_else(|e| e.into_inner()).pop() {
-            return Ok(c);
-        }
-        Client::connect(self.addr, self.timeout)
-    }
-
-    /// Return a healthy connection for reuse.
-    pub fn put(&self, client: Client) {
-        self.idle
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(client);
     }
 }

@@ -28,7 +28,7 @@ pub mod proto;
 pub mod registry;
 pub mod server;
 
-pub use client::{Client, ClientError, Pool};
+pub use client::{Client, ClientError};
 pub use proto::{Frame, Op, Status};
 pub use registry::{Registry, RegistryError};
 pub use server::{Server, ServerConfig};

@@ -53,16 +53,25 @@ grep -q '"model_ns":' "$TRACE_TMP" || { echo "verify: no model predictions in tr
 grep -q '</svg>' "$FOLDED_TMP.svg" || { echo "verify: flamegraph SVG not written" >&2; exit 1; }
 echo "trace smoke ok: $B_COUNT balanced span pairs, blocks annotated, SVG rendered"
 
+echo "== telemetry JSONL smoke (repro --obs-json: meta, hist and counter lines) =="
+OBS_TMP="$(mktemp /tmp/obs_verify_XXXXXX.jsonl)"
+trap 'rm -f "$OBS_TMP" "$TRACE_TMP" "$FOLDED_TMP" "$FOLDED_TMP.svg"' EXIT
+./target/release/repro smoke --obs-json "$OBS_TMP"
+head -n1 "$OBS_TMP" | grep -q '"type":"meta"' || { echo "verify: JSONL does not start with a meta line" >&2; exit 1; }
+grep -q '"type":"hist","path":"sketch/alg3"' "$OBS_TMP" || { echo "verify: no sketch/alg3 hist line in JSONL" >&2; exit 1; }
+grep -q '"type":"counter","name":"samples"' "$OBS_TMP" || { echo "verify: no samples counter line in JSONL" >&2; exit 1; }
+echo "telemetry JSONL ok: meta, sketch/alg3 hist and samples counter lines"
+
 echo "== chaoscheck smoke (quick fault x scenario matrix: no panics, no hangs) =="
 CHAOS_TMP="$(mktemp /tmp/chaos_verify_XXXXXX.jsonl)"
-trap 'rm -f "$CHAOS_TMP" "$TRACE_TMP" "$FOLDED_TMP" "$FOLDED_TMP.svg"' EXIT
+trap 'rm -f "$CHAOS_TMP" "$OBS_TMP" "$TRACE_TMP" "$FOLDED_TMP" "$FOLDED_TMP.svg"' EXIT
 ./target/release/chaoscheck --quick --report "$CHAOS_TMP"
 grep -q '"outcome"' "$CHAOS_TMP" || { echo "verify: empty chaos report" >&2; exit 1; }
 
 echo "== service smoke (sketchd on an ephemeral port + loadgen --quick + clean shutdown) =="
 PORT_TMP="$(mktemp /tmp/sketchd_port_XXXXXX)"
 SVC_LOG="$(mktemp /tmp/sketchd_log_XXXXXX)"
-trap 'rm -f "$PORT_TMP" "$SVC_LOG" "$BENCHGATE_TMP" "$CHAOS_TMP" "$TRACE_TMP" "$FOLDED_TMP" "$FOLDED_TMP.svg"; kill "$SVC_PID" 2>/dev/null || true' EXIT
+trap 'rm -f "$PORT_TMP" "$SVC_LOG" "$BENCHGATE_TMP" "$CHAOS_TMP" "$OBS_TMP" "$TRACE_TMP" "$FOLDED_TMP" "$FOLDED_TMP.svg"; kill "$SVC_PID" 2>/dev/null || true' EXIT
 : > "$PORT_TMP"
 ./target/release/sketchd --addr 127.0.0.1:0 --port-file "$PORT_TMP" > "$SVC_LOG" 2>&1 &
 SVC_PID=$!
@@ -100,7 +109,7 @@ echo "== benchgate suite listing =="
 
 echo "== benchgate self-check (record at smoke scale, compare back, expect pass) =="
 BENCHGATE_TMP="$(mktemp /tmp/benchgate_verify_XXXXXX.json)"
-trap 'rm -f "$BENCHGATE_TMP" "$CHAOS_TMP" "$TRACE_TMP" "$FOLDED_TMP" "$FOLDED_TMP.svg"' EXIT
+trap 'rm -f "$BENCHGATE_TMP" "$CHAOS_TMP" "$OBS_TMP" "$TRACE_TMP" "$FOLDED_TMP" "$FOLDED_TMP.svg"' EXIT
 ./target/release/benchgate record --quick --out "$BENCHGATE_TMP"
 # Generous --rel-tol: this exercises the record→parse→compare machinery and
 # the bitwise counter cross-check; it must not flake on hypervisor steal

@@ -1,6 +1,8 @@
 //! SAP's stage timers are obskit spans, and a span's record is its
 //! histogram: one converging solve leaves each stage path in the snapshot
-//! as a histogram holding one sample.
+//! as a histogram holding one sample. Telemetry is bounded by the code
+//! paths a run takes, not by the work it does: repeating the solve adds
+//! samples to the same histograms and counters, never a JSONL line.
 //!
 //! The obskit registry is process-global and threads merge into it when
 //! they exit, so this check has a test binary of its own.
@@ -45,4 +47,22 @@ fn sap_stages_are_span_histograms() {
         assert_eq!(h.count(), 1, "{path}");
         assert!(h.sum() > 0, "{path} took no time");
     }
+
+    let lines = snap.to_jsonl().lines().count();
+    for _ in 0..10 {
+        try_solve_sap(&a, &b, &opts).expect("converges");
+    }
+    let after = obskit::snapshot();
+    let stage = |s: &obskit::Snapshot| {
+        s.hists
+            .iter()
+            .find(|(p, _)| p == "lstsq/sap/solve")
+            .map_or(0, |(_, h)| h.count())
+    };
+    assert_eq!(stage(&after), 11, "the repeated solves were not recorded");
+    assert_eq!(
+        after.to_jsonl().lines().count(),
+        lines,
+        "ten more solves grew the JSONL snapshot"
+    );
 }
